@@ -222,8 +222,8 @@ class BudgetShare {
   bool charge(long n = 1) {
     if (b_ == nullptr) return false;
     if (stopped_) return true;
-    pending_ += n;
-    if (pending_ >= kStride) flush();
+    unflushed_ += n;
+    if (unflushed_ >= kStride) flush();
     return stopped_;
   }
 
@@ -235,9 +235,9 @@ class BudgetShare {
   /// Forwards any pending charges and refreshes the stop latch.
   void flush() {
     if (b_ == nullptr) return;
-    if (pending_ > 0) {
-      if (b_->charge(pending_)) stopped_ = true;
-      pending_ = 0;
+    if (unflushed_ > 0) {
+      if (b_->charge(unflushed_)) stopped_ = true;
+      unflushed_ = 0;
     } else if (b_->exhausted_cached()) {
       stopped_ = true;
     }
@@ -250,7 +250,7 @@ class BudgetShare {
 
  private:
   Budget* b_ = nullptr;
-  long pending_ = 0;
+  long unflushed_ = 0;
   bool stopped_ = false;
 };
 

@@ -1,4 +1,5 @@
-// Server::run_pooled — the supervisor event loop of `isex serve --workers N`.
+// Pool-mode dispatch of `isex serve --workers N`: the steps Server::run
+// takes in place of the inline solve when a worker pool exists.
 //
 // The supervisor keeps the listener, admission control, result cache,
 // journal and response ordering; every select is dispatched over a
@@ -32,16 +33,11 @@
 //                         requests answered `shutting_down`.
 //
 // Responses always leave in request order: every request occupies one slot
-// of an ordered in-flight window, completions fill slots out of order, and
-// only the contiguous done-prefix is flushed.
+// of the loop's ordered in-flight window, completions fill slots out of
+// order, and only the contiguous done-prefix is flushed.
 
 #include <algorithm>
 #include <csignal>
-#include <cstring>
-
-#include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
 
 #include "isex/obs/journal.hpp"
 #include "isex/obs/metrics.hpp"
@@ -50,7 +46,6 @@
 #include "isex/serve/json.hpp"
 #include "isex/serve/server.hpp"
 #include "isex/supervise/pool.hpp"
-#include "isex/util/io.hpp"
 
 namespace isex::serve {
 namespace {
@@ -62,422 +57,258 @@ bool signal_writes_crash_dump(int sig) {
 
 }  // namespace
 
-int Server::run_pooled(int in_fd, int out_fd) {
-  using supervise::PoolEvent;
-  using supervise::PoolFrame;
-  using supervise::WorkerPool;
+bool Server::start_pool() {
+  // The transport fds are supervisor-only: every worker closes them.
+  pool_ = std::make_unique<supervise::WorkerPool>(
+      opts_, std::vector<int>{in_fd_, out_fd_});
+  if (pool_->start()) return true;
+  pool_.reset();
+  return false;
+}
 
-  in_fd_ = in_fd;
-  out_fd_ = out_fd;
-  inbuf_.clear();
-  pending_.clear();
-  inflight_.clear();
-  discarding_ = false;
-  eof_ = false;
-  write_failed_ = false;
-  admitted_ = 0;
-
-  // The pool persists across streams like the cache does; workers stay warm.
-  if (!pool_) {
-    pool_ = std::make_unique<WorkerPool>(opts_, std::vector<int>{in_fd, out_fd});
-    if (!pool_->start()) {
-      pool_.reset();
-      return 2;
-    }
-  }
-
-  const int fl = ::fcntl(in_fd_, F_GETFL);
-  if (fl >= 0) ::fcntl(in_fd_, F_SETFL, fl | O_NONBLOCK);
-
-  const std::size_t entry_cap =
-      static_cast<std::size_t>(opts_.queue_capacity) * 4 + 16;
-
-  // Effective watchdog span (seconds, pre-grace) for one request.
-  const auto watchdog_span = [&](double req_budget_seconds) {
-    if (opts_.watchdog_seconds > 0) return opts_.watchdog_seconds;
-    if (req_budget_seconds > 0) return req_budget_seconds;
-    if (opts_.default_time_budget_seconds > 0)
-      return opts_.default_time_budget_seconds;
-    return opts_.limits.max_time_budget_seconds;
-  };
-
-  // Finalizes an admitted entry: stores the response, releases its admission
-  // slot, and feeds the latency/journal bookkeeping.
-  const auto finish = [&](InflightEntry& ent, std::string response,
-                          obs::Disposition d, bool admin) {
-    if (ent.done) return;
-    ent.done = true;
-    ent.text = std::move(response);
-    --admitted_;
-    last_is_admin_ = admin;
-    const std::int64_t dur =
-        ent.t0_ns != 0 ? obs::clock_ns() - ent.t0_ns : 0;
-    note_response(d, dur, ent.text.size());
-  };
-
-  const auto finish_drained = [&](InflightEntry& ent) {
-    ++stats_.drained;
-    ISEX_COUNT("serve.drained");
-    ISEX_JOURNAL(kDrain, kTransport, 0, 0, admitted_);
-    finish(ent,
-           render_error(ent.id.empty() ? extract_id(ent.text) : ent.id,
-                        ErrorCode::kShuttingDown, "server draining", -1,
-                        ent.rid),
-           obs::Disposition::kDrained, false);
-  };
-
+void Server::classify(InflightEntry& ent) {
   // Bounded classification of a newly admitted line. Admin commands are
   // answered in-process (stats/introspect *must* see supervisor state);
   // everything else — including lines that do not parse — goes to a worker,
   // where the full decoder produces the proper response or error.
-  const auto classify = [&](InflightEntry& ent) {
-    ent.t0_ns = obs::clock_ns();
-    ent.line_hash = fnv1a(ent.text.data(), ent.text.size(), 0xcbf29ce484222325ull);
-    double req_budget_seconds = 0;
-    bool admin = false;
-    {
-      JsonParseResult pr = json_parse(ent.text, opts_.limits.json);
-      if (pr.ok() && pr.value.is_object()) {
-        if (const Json* cmd = pr.value.find("cmd");
-            cmd != nullptr && cmd->is_string()) {
-          const std::string& s = cmd->as_string();
-          admin = s == "ping" || s == "stats" || s == "introspect";
-        }
-        if (const Json* id = pr.value.find("id");
-            id != nullptr && id->is_string() &&
-            id->as_string().size() <= opts_.limits.max_id_bytes)
-          ent.id = id->as_string();
-        if (const Json* tb = pr.value.find("time_budget_ms");
-            tb != nullptr && tb->is_number() && tb->as_number() > 0)
-          req_budget_seconds =
-              std::min(tb->as_number() * 1e-3,
-                       opts_.limits.max_time_budget_seconds);
+  ent.t0_ns = obs::clock_ns();
+  ent.line_hash =
+      fnv1a(ent.text.data(), ent.text.size(), 0xcbf29ce484222325ull);
+  double req_budget_seconds = 0;
+  bool admin = false;
+  {
+    JsonParseResult pr = json_parse(ent.text, opts_.limits.json);
+    if (pr.ok() && pr.value.is_object()) {
+      if (const Json* cmd = pr.value.find("cmd");
+          cmd != nullptr && cmd->is_string()) {
+        const std::string& s = cmd->as_string();
+        admin = s == "ping" || s == "stats" || s == "introspect";
       }
-    }
-    ent.watchdog_seconds = watchdog_span(req_budget_seconds);
-
-    const int depth = std::max(0, admitted_ - 1);
-    if (admin) {
-      std::string resp = handle_line(ent.text, depth, ent.rid);
-      finish(ent, std::move(resp), last_disposition_, true);
-      return;
-    }
-
-    // Poison quarantine: refuse content that already killed its quota of
-    // workers, before it gets near another one.
-    if (pool_->is_quarantined(ent.line_hash)) {
-      ++stats_.quarantine_hits;
-      ISEX_COUNT("serve.quarantine_hits");
-      finish(ent,
-             render_error_extra(
-                 ent.id, ErrorCode::kQuarantined,
-                 "request content quarantined after killing " +
-                     std::to_string(opts_.poison_kill_threshold) + " workers",
-                 "\"kills\":" + std::to_string(opts_.poison_kill_threshold),
-                 -1, ent.rid),
-             obs::Disposition::kError, false);
-      return;
-    }
-
-    // Supervisor result cache: exact request bytes, undemoted (rung 0)
-    // results only. The stored object was certified by the worker that
-    // produced it; semantic (cross-line) reuse still happens worker-side.
-    if (shed_rung_for_depth(depth) == 0) {
-      if (const ResultCache::Entry* e = cache_.find(ent.line_hash)) {
-        ++stats_.cache_hits;
-        ISEX_JOURNAL(kCacheLookup, kCache, 0, 1, 0);
-        const double ms =
-            static_cast<double>(obs::clock_ns() - ent.t0_ns) / 1e6;
-        finish(ent,
-               render_success(ent.id, e->result_json, /*cache_hit=*/true,
-                              depth, ms, e->nodes_charged, ent.rid),
-               obs::Disposition::kCached, false);
-        return;
-      }
-    }
-  };
-
-  // A worker frame arrived for `ent`: adopt the worker-rendered response and
-  // mirror its metadata into the supervisor's stats.
-  const auto finish_from_frame = [&](InflightEntry& ent,
-                                     const PoolFrame& frame) {
-    const auto d = static_cast<obs::Disposition>(frame.hdr.disposition);
-    const bool admin = (frame.hdr.flags & supervise::kRespFlagAdmin) != 0;
-    const std::uint8_t ek = frame.hdr.error_kind;
-    if (ek == 0) {
-      if (d == obs::Disposition::kCached) {
-        ++stats_.cache_hits;
-      } else if (!admin) {
-        ++stats_.solved;
-        ISEX_COUNT("serve.requests.solved");
-        if (frame.hdr.flags & supervise::kRespFlagDegraded) ++stats_.degraded;
-        if (frame.hdr.flags & supervise::kRespFlagShed) {
-          ++stats_.shed_demotions;
-          ISEX_COUNT("serve.shed_demotions");
-        }
-      }
-    } else {
-      const auto code = static_cast<ErrorCode>(ek - 1);
-      if (code == ErrorCode::kParseError)
-        ++stats_.parse_errors;
-      else if (code == ErrorCode::kBadRequest || code == ErrorCode::kTooLarge)
-        ++stats_.bad_requests;
-      else if (code == ErrorCode::kInternal)
-        ++stats_.internal_errors;
-    }
-    // Cache rung-0 select results under the exact line bytes.
-    if ((frame.hdr.flags & supervise::kRespFlagCacheable) != 0 &&
-        (frame.hdr.flags & supervise::kRespFlagShed) == 0 &&
-        frame.hdr.result_len > 0 &&
-        static_cast<std::size_t>(frame.hdr.result_off) +
-                frame.hdr.result_len <=
-            frame.body.size() &&
-        d != obs::Disposition::kCached) {
-      ResultCache::Entry entry;
-      entry.result_json = frame.body.substr(frame.hdr.result_off,
-                                            frame.hdr.result_len);
-      entry.nodes_charged = static_cast<long>(frame.hdr.nodes_charged);
-      cache_.insert(ent.line_hash, std::move(entry));
-    }
-    if (!admin && ek == 0 && ent.t0_ns != 0) {
-      const double ms =
-          static_cast<double>(obs::clock_ns() - ent.t0_ns) / 1e6;
-      ewma_service_ms_ = 0.8 * ewma_service_ms_ + 0.2 * ms;
-    }
-    finish(ent, frame.body, d, admin);
-  };
-
-  // A worker died while this entry was dispatched on it.
-  const auto handle_death = [&](InflightEntry& ent, const PoolEvent& ev,
-                                bool draining) {
-    const int kills = pool_->note_kill(ent.line_hash);
-    const bool quarantined_now = kills == opts_.poison_kill_threshold;
-    if (quarantined_now) {
-      ++stats_.quarantined;
-      ISEX_COUNT("serve.quarantined");
-    }
-    std::string extra = "\"signal\":" + std::to_string(ev.signal) +
-                        ",\"worker\":" + std::to_string(ev.worker) +
-                        ",\"kills\":" + std::to_string(kills);
-    if (!opts_.crash_dump_path.empty() &&
-        signal_writes_crash_dump(ev.signal)) {
-      extra += ",\"crash_dump\":" +
-               json_quote(opts_.crash_dump_path + "." +
-                          std::to_string(static_cast<long>(ev.pid)));
-    }
-    if (ev.watchdog) {
-      finish(ent,
-             render_error_extra(
-                 ent.id, ErrorCode::kWorkerTimeout,
-                 "solve exceeded its watchdog deadline (" +
-                     std::to_string(ent.watchdog_seconds) +
-                     "s + grace); worker killed",
-                 extra, -1, ent.rid),
-             obs::Disposition::kError, false);
-      return;
-    }
-    if (kills < opts_.poison_kill_threshold && !draining) {
-      // Retry on another worker. Safe: solves are pure functions of the
-      // request bytes with no external side effects, and each retry runs
-      // at most once per worker (the killer never sees the line again).
-      ent.worker = -1;
-      ++stats_.requests_retried;
-      ISEX_COUNT("serve.requests.retried");
-      return;
-    }
-    finish(ent,
-           render_error_extra(
-               ent.id, ErrorCode::kWorkerCrashed,
-               "worker pid " + std::to_string(static_cast<long>(ev.pid)) +
-                   (ev.signal != 0
-                        ? " died with signal " + std::to_string(ev.signal)
-                        : " exited with status " +
-                              std::to_string(ev.exit_status)) +
-                   " while solving this request" +
-                   (quarantined_now ? "; content quarantined" : ""),
-               extra, -1, ent.rid),
-           obs::Disposition::kError, false);
-  };
-
-  bool draining = false;
-  std::int64_t drain_deadline_ns = 0;
-  int exit_code = 0;
-
-  for (;;) {
-    const std::int64_t now = obs::clock_ns();
-
-    if (!draining && pending_signal() != 0) {
-      draining = true;
-      drain_deadline_ns =
-          now +
-          static_cast<std::int64_t>(opts_.drain_timeout_seconds * 1e9);
-      pool_->begin_drain();
-    }
-
-    if (!draining) pump_input();
-
-    // Admit classified work into the ordered in-flight window.
-    while (!pending_.empty() &&
-           (draining || inflight_.size() < entry_cap)) {
-      PendingEntry pe = std::move(pending_.front());
-      pending_.pop_front();
-      InflightEntry ent;
-      if (pe.preformed) {
-        ent.done = true;
-        ent.text = std::move(pe.text);
-      } else {
-        ent.text = std::move(pe.text);
-        ent.rid = ++next_rid_;
-        if (draining)
-          finish_drained(ent);
-        else
-          classify(ent);
-      }
-      inflight_.push_back(std::move(ent));
-    }
-
-    if (draining) {
-      // Everything not yet on a worker gets a deterministic drain answer.
-      for (InflightEntry& ent : inflight_)
-        if (!ent.done && ent.worker < 0) finish_drained(ent);
-    }
-
-    // Dispatch queued entries, oldest first. depth_behind[i] = admitted
-    // requests queued behind entry i (drives worker-side shedding, like
-    // admitted_ does for the in-process loop).
-    if (!draining) {
-      std::vector<int> undone_after(inflight_.size() + 1, 0);
-      for (std::size_t i = inflight_.size(); i-- > 0;)
-        undone_after[i] = undone_after[i + 1] +
-                          (!inflight_[i].done && inflight_[i].worker < 0 ? 1
-                                                                         : 0);
-      const bool rejecting =
-          pool_->breaker_open(now) && pool_->live_workers() == 0;
-      for (std::size_t i = 0; i < inflight_.size(); ++i) {
-        InflightEntry& ent = inflight_[i];
-        if (ent.done || ent.worker >= 0) continue;
-        if (rejecting) {
-          ++stats_.breaker_rejected;
-          ISEX_COUNT("serve.breaker_rejected");
-          finish(ent,
-                 render_error(ent.id, ErrorCode::kWorkerUnavailable,
-                              "worker pool restart storm: circuit breaker "
-                              "open and no live workers",
-                              pool_->breaker_retry_after_ms(now), ent.rid),
-                 obs::Disposition::kError, false);
-          continue;
-        }
-        const int w = pool_->idle_worker();
-        if (w < 0) break;
-        const int depth = undone_after[i + 1];
-        if (pool_->dispatch(w, ent.rid, depth, ent.text,
-                            ent.watchdog_seconds)) {
-          ent.worker = w;
-          ent.depth_at_dispatch = depth;
-          ++stats_.dispatched;
-          ISEX_COUNT("serve.dispatched");
-        }
-        // A failed dispatch killed that worker; the entry stays queued and
-        // the next pass retries on another one.
-      }
-    }
-
-    // Wait for input, worker frames, or the next watchdog/drain deadline.
-    {
-      std::vector<struct pollfd> pfds;
-      const bool want_input = !draining && !eof_ &&
-                              pending_.size() < entry_cap &&
-                              inflight_.size() < entry_cap;
-      if (want_input) pfds.push_back({in_fd_, POLLIN, 0});
-      const auto refs = pool_->poll_fds();
-      for (const auto& r : refs) pfds.push_back({r.fd, POLLIN, 0});
-      int timeout_ms = 200;
-      if (const std::int64_t dl = pool_->next_deadline_ns(); dl != 0)
-        timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
-            (dl - now) / 1'000'000 + 1, 1, 200));
-      if (draining)
-        timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
-            (drain_deadline_ns - now) / 1'000'000 + 1, 1, timeout_ms));
-      if (!pfds.empty()) {
-        ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
-      } else if (inflight_.empty() && pending_.empty() &&
-                 (eof_ || draining)) {
-        // nothing left anywhere
-      } else {
-        ::usleep(static_cast<useconds_t>(timeout_ms) * 1000);
-      }
-      // Collect frames from every worker that has bytes (cheap no-op on
-      // the quiet ones; poll revents bookkeeping is not worth the map).
-      std::vector<PoolFrame> frames;
-      for (const auto& r : refs) pool_->read_worker(r.worker, &frames);
-      for (PoolFrame& frame : frames) {
-        for (InflightEntry& ent : inflight_) {
-          if (!ent.done && ent.rid == frame.hdr.rid) {
-            finish_from_frame(ent, frame);
-            break;
-          }
-        }
-        // Frames matching nothing (a response racing a watchdog kill whose
-        // entry already finished) are dropped: the response slot is gone.
-      }
-    }
-
-    // Reap deaths, respawn under backoff/breaker, fire watchdogs.
-    {
-      const std::vector<PoolEvent> events = pool_->maintain(obs::clock_ns());
-      for (const PoolEvent& ev : events) {
-        if (!ev.was_busy || ev.rid == 0) continue;
-        for (InflightEntry& ent : inflight_) {
-          if (!ent.done && ent.rid == ev.rid) {
-            handle_death(ent, ev, draining);
-            break;
-          }
-        }
-      }
-      stats_.worker_crashes = pool_->crashes();
-      stats_.worker_timeouts = pool_->watchdog_kills();
-      stats_.worker_respawns = pool_->respawns();
-      stats_.breaker_opens = pool_->breaker_opens();
-    }
-
-    // Flush the contiguous done-prefix: responses leave in request order.
-    while (!inflight_.empty() && inflight_.front().done) {
-      if (!write_line(out_fd_, inflight_.front().text)) break;
-      inflight_.pop_front();
-    }
-
-    ISEX_GAUGE_SET("serve.queue.depth", admitted_);
-    maybe_flush_stats();
-
-    if (write_failed_) {
-      exit_code = 2;
-      break;
-    }
-    if (draining) {
-      const bool all_answered = [&] {
-        for (const InflightEntry& ent : inflight_)
-          if (!ent.done) return false;
-        return true;
-      }();
-      if (all_answered && inflight_.empty()) break;
-      if (obs::clock_ns() >= drain_deadline_ns) {
-        // Patience exhausted: kill the stragglers, answer their requests.
-        pool_->shutdown(0);
-        for (InflightEntry& ent : inflight_)
-          if (!ent.done) finish_drained(ent);
-        while (!inflight_.empty() && inflight_.front().done) {
-          if (!write_line(out_fd_, inflight_.front().text)) break;
-          inflight_.pop_front();
-        }
-        break;
-      }
-    } else if (eof_ && pending_.empty() && inflight_.empty()) {
-      break;
+      if (const Json* id = pr.value.find("id");
+          id != nullptr && id->is_string() &&
+          id->as_string().size() <= opts_.limits.max_id_bytes)
+        ent.id = id->as_string();
+      if (const Json* tb = pr.value.find("time_budget_ms");
+          tb != nullptr && tb->is_number() && tb->as_number() > 0)
+        req_budget_seconds = std::min(tb->as_number() * 1e-3,
+                                      opts_.limits.max_time_budget_seconds);
     }
   }
+  // Effective watchdog span (seconds, pre-grace).
+  if (opts_.watchdog_seconds > 0)
+    ent.watchdog_seconds = opts_.watchdog_seconds;
+  else if (req_budget_seconds > 0)
+    ent.watchdog_seconds = req_budget_seconds;
+  else if (opts_.default_time_budget_seconds > 0)
+    ent.watchdog_seconds = opts_.default_time_budget_seconds;
+  else
+    ent.watchdog_seconds = opts_.limits.max_time_budget_seconds;
 
-  if (fl >= 0) ::fcntl(in_fd_, F_SETFL, fl);
-  return write_failed_ ? 2 : exit_code;
+  const int depth = std::max(0, admitted_ - 1);
+  if (admin) {
+    complete(ent, handle_line(ent.text, depth, ent.rid));
+    return;
+  }
+
+  // Poison quarantine: refuse content that already killed its quota of
+  // workers, before it gets near another one.
+  if (pool_->is_quarantined(ent.line_hash)) {
+    ++stats_.quarantine_hits;
+    ISEX_COUNT("serve.quarantine_hits");
+    finish(ent,
+           render_error_extra(
+               ent.id, ErrorCode::kQuarantined,
+               "request content quarantined after killing " +
+                   std::to_string(opts_.poison_kill_threshold) + " workers",
+               "\"kills\":" + std::to_string(opts_.poison_kill_threshold),
+               -1, ent.rid),
+           obs::Disposition::kError, false);
+    return;
+  }
+
+  // Supervisor result cache: exact request bytes, undemoted (rung 0)
+  // results only. The stored object was certified by the worker that
+  // produced it; semantic (cross-line) reuse still happens worker-side.
+  if (shed_rung_for_depth(depth) == 0) {
+    if (const ResultCache::Entry* e = cache_.find(ent.line_hash)) {
+      ++stats_.cache_hits;
+      ISEX_JOURNAL(kCacheLookup, kCache, 0, 1, 0);
+      const double ms = static_cast<double>(obs::clock_ns() - ent.t0_ns) / 1e6;
+      finish(ent,
+             render_success(ent.id, e->result_json, /*cache_hit=*/true, depth,
+                            ms, e->nodes_charged, ent.rid),
+             obs::Disposition::kCached, false);
+    }
+  }
+}
+
+void Server::dispatch_to_pool() {
+  // Classify new arrivals in request order and count what stays queued.
+  int queued = 0;
+  for (InflightEntry& ent : inflight_) {
+    if (ent.done) continue;
+    if (ent.t0_ns == 0) classify(ent);
+    if (!ent.done && ent.worker < 0) ++queued;
+  }
+  // Dispatch queued entries, oldest first, each with the number of queued
+  // requests behind it (drives worker-side shedding, like the inline
+  // solve's depth does).
+  const std::int64_t now = obs::clock_ns();
+  const bool rejecting = pool_->breaker_open(now) && pool_->live_workers() == 0;
+  for (InflightEntry& ent : inflight_) {
+    if (ent.done || ent.worker >= 0) continue;
+    --queued;
+    if (rejecting) {
+      ++stats_.breaker_rejected;
+      ISEX_COUNT("serve.breaker_rejected");
+      finish(ent,
+             render_error(ent.id, ErrorCode::kWorkerUnavailable,
+                          "worker pool restart storm: circuit breaker "
+                          "open and no live workers",
+                          pool_->breaker_retry_after_ms(now), ent.rid),
+             obs::Disposition::kError, false);
+      continue;
+    }
+    const int w = pool_->idle_worker();
+    if (w < 0) break;
+    if (pool_->dispatch(w, ent.rid, queued, ent.text, ent.watchdog_seconds)) {
+      ent.worker = w;
+      ++stats_.dispatched;
+      ISEX_COUNT("serve.dispatched");
+    }
+    // A failed dispatch killed that worker; the entry stays queued and the
+    // next pass retries on another one.
+  }
+}
+
+void Server::finish_from_frame(InflightEntry& ent,
+                               const supervise::PoolFrame& frame) {
+  // A worker frame arrived for `ent`: adopt the worker-rendered response and
+  // mirror its metadata into the supervisor's stats.
+  const auto d = static_cast<obs::Disposition>(frame.hdr.disposition);
+  const bool admin = (frame.hdr.flags & supervise::kRespFlagAdmin) != 0;
+  const std::uint8_t ek = frame.hdr.error_kind;
+  if (ek == 0) {
+    if (d == obs::Disposition::kCached) {
+      ++stats_.cache_hits;
+    } else if (!admin) {
+      ++stats_.solved;
+      ISEX_COUNT("serve.requests.solved");
+      if (frame.hdr.flags & supervise::kRespFlagDegraded) ++stats_.degraded;
+      if (frame.hdr.flags & supervise::kRespFlagShed) {
+        ++stats_.shed_demotions;
+        ISEX_COUNT("serve.shed_demotions");
+      }
+    }
+  } else {
+    const auto code = static_cast<ErrorCode>(ek - 1);
+    if (code == ErrorCode::kParseError)
+      ++stats_.parse_errors;
+    else if (code == ErrorCode::kBadRequest || code == ErrorCode::kTooLarge)
+      ++stats_.bad_requests;
+    else if (code == ErrorCode::kInternal)
+      ++stats_.internal_errors;
+  }
+  // Cache rung-0 select results under the exact line bytes.
+  if ((frame.hdr.flags & supervise::kRespFlagCacheable) != 0 &&
+      (frame.hdr.flags & supervise::kRespFlagShed) == 0 &&
+      frame.hdr.result_len > 0 &&
+      static_cast<std::size_t>(frame.hdr.result_off) + frame.hdr.result_len <=
+          frame.body.size() &&
+      d != obs::Disposition::kCached) {
+    ResultCache::Entry entry;
+    entry.result_json =
+        frame.body.substr(frame.hdr.result_off, frame.hdr.result_len);
+    entry.nodes_charged = static_cast<long>(frame.hdr.nodes_charged);
+    cache_.insert(ent.line_hash, std::move(entry));
+  }
+  if (!admin && ek == 0) {
+    const double ms = static_cast<double>(obs::clock_ns() - ent.t0_ns) / 1e6;
+    ewma_service_ms_ = 0.8 * ewma_service_ms_ + 0.2 * ms;
+  }
+  finish(ent, frame.body, d, admin);
+}
+
+void Server::handle_death(InflightEntry& ent, const supervise::PoolEvent& ev,
+                          bool draining) {
+  // A worker died while this entry was dispatched on it.
+  const int kills = pool_->note_kill(ent.line_hash);
+  const bool quarantined_now = kills == opts_.poison_kill_threshold;
+  if (quarantined_now) {
+    ++stats_.quarantined;
+    ISEX_COUNT("serve.quarantined");
+  }
+  std::string extra = "\"signal\":" + std::to_string(ev.signal) +
+                      ",\"worker\":" + std::to_string(ev.worker) +
+                      ",\"kills\":" + std::to_string(kills);
+  if (!opts_.crash_dump_path.empty() && signal_writes_crash_dump(ev.signal)) {
+    extra += ",\"crash_dump\":" +
+             json_quote(opts_.crash_dump_path + "." +
+                        std::to_string(static_cast<long>(ev.pid)));
+  }
+  if (ev.watchdog) {
+    finish(ent,
+           render_error_extra(ent.id, ErrorCode::kWorkerTimeout,
+                              "solve exceeded its watchdog deadline (" +
+                                  std::to_string(ent.watchdog_seconds) +
+                                  "s + grace); worker killed",
+                              extra, -1, ent.rid),
+           obs::Disposition::kError, false);
+    return;
+  }
+  if (kills < opts_.poison_kill_threshold && !draining) {
+    // Retry on another worker. Safe: solves are pure functions of the
+    // request bytes with no external side effects, and each retry runs at
+    // most once per worker (the killer never sees the line again).
+    ent.worker = -1;
+    ++stats_.requests_retried;
+    ISEX_COUNT("serve.requests.retried");
+    return;
+  }
+  finish(ent,
+         render_error_extra(
+             ent.id, ErrorCode::kWorkerCrashed,
+             "worker pid " + std::to_string(static_cast<long>(ev.pid)) +
+                 (ev.signal != 0
+                      ? " died with signal " + std::to_string(ev.signal)
+                      : " exited with status " +
+                            std::to_string(ev.exit_status)) +
+                 " while solving this request" +
+                 (quarantined_now ? "; content quarantined" : ""),
+             extra, -1, ent.rid),
+         obs::Disposition::kError, false);
+}
+
+void Server::collect_from_pool(bool draining) {
+  // Collect frames from every worker that has bytes (cheap no-op on the
+  // quiet ones; poll revents bookkeeping is not worth the map).
+  std::vector<supervise::PoolFrame> frames;
+  for (const auto& r : pool_->poll_fds()) pool_->read_worker(r.worker, &frames);
+  for (const supervise::PoolFrame& frame : frames) {
+    for (InflightEntry& ent : inflight_) {
+      if (!ent.done && ent.rid == frame.hdr.rid) {
+        finish_from_frame(ent, frame);
+        break;
+      }
+    }
+    // Frames matching nothing (a response racing a watchdog kill whose
+    // entry already finished) are dropped: the response slot is gone.
+  }
+
+  // Reap deaths, respawn under backoff/breaker, fire watchdogs.
+  for (const supervise::PoolEvent& ev : pool_->maintain(obs::clock_ns())) {
+    if (!ev.was_busy || ev.rid == 0) continue;
+    for (InflightEntry& ent : inflight_) {
+      if (!ent.done && ent.rid == ev.rid) {
+        handle_death(ent, ev, draining);
+        break;
+      }
+    }
+  }
+  stats_.worker_crashes = pool_->crashes();
+  stats_.worker_timeouts = pool_->watchdog_kills();
+  stats_.worker_respawns = pool_->respawns();
+  stats_.breaker_opens = pool_->breaker_opens();
 }
 
 }  // namespace isex::serve

@@ -191,7 +191,7 @@ std::string Server::extract_id(std::string_view line) const {
   return s;
 }
 
-std::string Server::render_stats(const std::string& id, int queue_depth) const {
+std::string Server::render_stats(int queue_depth) const {
   std::string r = "{\"cmd\":\"stats\"";
   r += ",\"queue_depth\":" + std::to_string(queue_depth);
   r += ",\"lines_in\":" + std::to_string(stats_.lines_in);
@@ -242,7 +242,6 @@ std::string Server::render_stats(const std::string& id, int queue_depth) const {
     r += latency_stats_json(*h);
   }
   r += "}}";
-  (void)id;
   return r;
 }
 
@@ -253,7 +252,7 @@ std::string Server::render_introspect(int queue_depth) const {
   // reflects what was compiled in), flight-recorder state, and the
   // effective options.
   std::string r = "{\"cmd\":\"introspect\",\"stats\":";
-  r += render_stats("", queue_depth);
+  r += render_stats(queue_depth);
   const obs::Journal& j = obs::Journal::global();
   r += ",\"journal\":{\"head\":" + std::to_string(j.head());
   r += ",\"capacity\":" + std::to_string(j.capacity());
@@ -351,7 +350,7 @@ std::string Server::handle_select(const Request& req, int queue_depth,
     if (check.ok()) {
       ++stats_.cache_hits;
       ISEX_JOURNAL(kCacheLookup, kCache, 0, 1, 0);
-      last_disposition_ = obs::Disposition::kCached;
+      meta_.disposition = obs::Disposition::kCached;
       meta_.result_json = e->result_json;
       meta_.nodes_charged = e->nodes_charged;
       const double ms =
@@ -416,7 +415,7 @@ std::string Server::handle_select(const Request& req, int queue_depth,
   const robust::BudgetReport rep = budget.report();
   ISEX_JOURNAL(kSolve, kSolve, obs::clock_ns() - solve_t0, rep.nodes_charged,
                static_cast<int>(status));
-  last_disposition_ = shed_rung > 0 ? obs::Disposition::kShed
+  meta_.disposition = shed_rung > 0 ? obs::Disposition::kShed
                       : status != robust::Status::kExact
                           ? obs::Disposition::kDegraded
                           : obs::Disposition::kExact;
@@ -438,15 +437,15 @@ std::string Server::handle_request(const Request& req, int queue_depth,
                                    std::uint64_t rid) {
   switch (req.cmd) {
     case Cmd::kPing:
-      last_is_admin_ = true;
+      meta_.is_admin = true;
       return render_success(req.id, "{\"cmd\":\"ping\"}", false, queue_depth,
                             0.0, 0, rid);
     case Cmd::kStats:
-      last_is_admin_ = true;
-      return render_success(req.id, render_stats(req.id, queue_depth), false,
+      meta_.is_admin = true;
+      return render_success(req.id, render_stats(queue_depth), false,
                             queue_depth, 0.0, 0, rid);
     case Cmd::kIntrospect:
-      last_is_admin_ = true;
+      meta_.is_admin = true;
       return render_success(req.id, render_introspect(queue_depth), false,
                             queue_depth, 0.0, 0, rid);
     case Cmd::kSelect:
@@ -456,11 +455,11 @@ std::string Server::handle_request(const Request& req, int queue_depth,
                       rid);
 }
 
-void Server::note_response(obs::Disposition d, std::int64_t dur_ns,
-                           std::size_t response_bytes) {
+void Server::note_response(obs::Disposition d, bool timed,
+                           std::int64_t dur_ns, std::size_t response_bytes) {
   ISEX_JOURNAL(kResponse, kRender, dur_ns, static_cast<std::int64_t>(d),
                response_bytes);
-  if (last_is_admin_) return;  // admin requests would skew the latency axes
+  if (!timed) return;
   const std::int64_t us = dur_ns / 1000;
   lat_total_.record(us);
   switch (d) {
@@ -484,8 +483,6 @@ std::string Server::handle_line(std::string_view line, int queue_depth,
   ISEX_JOURNAL_SCOPE(rid);
   ISEX_JOURNAL(kRequest, kTransport, 0, line.size(), queue_depth);
   const std::int64_t t0 = obs::clock_ns();
-  last_disposition_ = obs::Disposition::kError;
-  last_is_admin_ = false;
   meta_ = ResponseMeta{};
   std::string response;
   // Request isolation: nothing a single request does — hostile bytes, a
@@ -509,8 +506,6 @@ std::string Server::handle_line(std::string_view line, int queue_depth,
   } catch (const std::exception& e) {
     ++stats_.internal_errors;
     ISEX_COUNT("serve.requests.internal_errors");
-    last_disposition_ = obs::Disposition::kError;
-    last_is_admin_ = false;
     meta_ = ResponseMeta{};
     meta_.error_kind = static_cast<std::uint8_t>(ErrorCode::kInternal) + 1;
     response = render_error(extract_id(line), ErrorCode::kInternal, e.what(),
@@ -518,16 +513,14 @@ std::string Server::handle_line(std::string_view line, int queue_depth,
   } catch (...) {
     ++stats_.internal_errors;
     ISEX_COUNT("serve.requests.internal_errors");
-    last_disposition_ = obs::Disposition::kError;
-    last_is_admin_ = false;
     meta_ = ResponseMeta{};
     meta_.error_kind = static_cast<std::uint8_t>(ErrorCode::kInternal) + 1;
     response = render_error(extract_id(line), ErrorCode::kInternal,
                             "unknown exception", -1, rid);
   }
-  meta_.disposition = last_disposition_;
-  meta_.is_admin = last_is_admin_;
-  note_response(last_disposition_, obs::clock_ns() - t0, response.size());
+  // Admin requests would skew the latency axes.
+  note_response(meta_.disposition, !meta_.is_admin, obs::clock_ns() - t0,
+                response.size());
   return response;
 }
 
@@ -553,12 +546,17 @@ void Server::ingest_line(std::string line) {
     ISEX_JOURNAL(kResponse, kRender, 0,
                  static_cast<std::int64_t>(obs::Disposition::kError),
                  resp.size());
-    pending_.push_back(PendingEntry{true, std::move(resp)});
+    InflightEntry& tombstone = inflight_.emplace_back();
+    tombstone.done = true;
+    tombstone.text = std::move(resp);
+    tombstone.rid = rid;
     return;
   }
   ++stats_.accepted;
   ++admitted_;
-  pending_.push_back(PendingEntry{false, std::move(line)});
+  InflightEntry& ent = inflight_.emplace_back();
+  ent.text = std::move(line);
+  ent.rid = ++next_rid_;
 }
 
 void Server::split_lines() {
@@ -582,7 +580,10 @@ void Server::split_lines() {
       ISEX_JOURNAL(kResponse, kRender, 0,
                    static_cast<std::int64_t>(obs::Disposition::kError),
                    resp.size());
-      pending_.push_back(PendingEntry{true, std::move(resp)});
+      InflightEntry& tombstone = inflight_.emplace_back();
+      tombstone.done = true;
+      tombstone.text = std::move(resp);
+      tombstone.rid = rid;
     } else {
       std::string line = inbuf_.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -601,14 +602,16 @@ void Server::split_lines() {
   }
 }
 
+std::size_t Server::window_cap() const {
+  return static_cast<std::size_t>(opts_.queue_capacity) * 4 + 16;
+}
+
 void Server::pump_input() {
-  // Stop reading when the pending queue is saturated well past capacity:
-  // from here on the kernel pipe fills up and blocks the sender — bounded
-  // memory is the outermost overload defense.
-  const std::size_t entry_cap =
-      static_cast<std::size_t>(opts_.queue_capacity) * 4 + 16;
+  // Stop reading when the window is saturated well past capacity: from
+  // here on the kernel pipe fills up and blocks the sender — bounded memory
+  // is the outermost overload defense.
   char buf[1 << 16];
-  while (!eof_ && pending_.size() < entry_cap) {
+  while (!eof_ && inflight_.size() < window_cap()) {
     const ssize_t n = ::read(in_fd_, buf, sizeof buf);
     if (n > 0) {
       inbuf_.append(buf, static_cast<std::size_t>(n));
@@ -658,68 +661,136 @@ void Server::maybe_flush_stats() {
   });
 }
 
-void Server::drain_queue() {
-  // Graceful drain: every queued request gets a deterministic answer before
-  // exit — preformed responses as-is, unsolved requests "shutting_down".
-  while (!pending_.empty()) {
-    PendingEntry e = std::move(pending_.front());
-    pending_.pop_front();
-    if (!e.preformed) {
-      --admitted_;
-      ++stats_.drained;
-      ISEX_COUNT("serve.drained");
-      const std::uint64_t rid = ++next_rid_;
-      ISEX_JOURNAL_SCOPE(rid);
-      ISEX_JOURNAL(kDrain, kTransport, 0, 0, admitted_);
-      e.text = render_error(extract_id(e.text), ErrorCode::kShuttingDown,
-                            "server draining", -1, rid);
-      ISEX_JOURNAL(kResponse, kRender, 0,
-                   static_cast<std::int64_t>(obs::Disposition::kDrained),
-                   e.text.size());
-    }
-    if (!write_line(out_fd_, e.text)) break;
+void Server::complete(InflightEntry& ent, std::string response) {
+  ent.done = true;
+  ent.text = std::move(response);
+  --admitted_;
+}
+
+void Server::finish(InflightEntry& ent, std::string response,
+                    obs::Disposition d, bool is_admin) {
+  // For responses made outside handle_line, which records its own. Latency
+  // counts from classification (pool mode); an entry never classified was
+  // never timed and stays out of the histograms.
+  ISEX_JOURNAL_SCOPE(ent.rid);
+  const bool timed = !is_admin && ent.t0_ns != 0;
+  note_response(d, timed, timed ? obs::clock_ns() - ent.t0_ns : 0,
+                response.size());
+  complete(ent, std::move(response));
+}
+
+void Server::finish_drained(InflightEntry& ent) {
+  // Graceful drain: a request that will not be solved gets a deterministic
+  // "shutting_down" answer in its slot.
+  ++stats_.drained;
+  ISEX_COUNT("serve.drained");
+  ISEX_JOURNAL_SCOPE(ent.rid);
+  ISEX_JOURNAL(kDrain, kTransport, 0, 0, admitted_);
+  finish(ent,
+         render_error(ent.id.empty() ? extract_id(ent.text) : ent.id,
+                      ErrorCode::kShuttingDown, "server draining", -1,
+                      ent.rid),
+         obs::Disposition::kDrained, false);
+}
+
+void Server::solve_oldest() {
+  // Inline dispatch: one solve per pass, so admission sees new arrivals
+  // between solves.
+  for (InflightEntry& ent : inflight_) {
+    if (ent.done) continue;
+    // Depth observed *behind* this request drives the shedding decision.
+    complete(ent, handle_line(ent.text, admitted_ - 1, ent.rid));
+    return;
   }
 }
 
+void Server::flush_done_prefix(bool reading) {
+  while (!inflight_.empty() && inflight_.front().done) {
+    if (!write_line(out_fd_, inflight_.front().text)) return;
+    inflight_.pop_front();
+    // A run of finished responses (an overload burst's tombstones) frees
+    // window room as it drains: keep reading while it does, so backpressure
+    // lifts as soon as there is space and the read is not charged to the
+    // next solve.
+    if (reading && !inflight_.empty() && inflight_.front().done) pump_input();
+  }
+}
+
+void Server::wait_for_work(bool draining, std::int64_t drain_deadline_ns) {
+  // Inline work is queued: the next pump reads whatever arrived meanwhile.
+  if (!pool_ && admitted_ > 0) return;
+  pfds_.clear();
+  if (!draining && !eof_ && inflight_.size() < window_cap())
+    pfds_.push_back({in_fd_, POLLIN, 0});
+  std::int64_t deadline_ns = drain_deadline_ns;
+  if (pool_) {
+    for (const auto& r : pool_->poll_fds()) pfds_.push_back({r.fd, POLLIN, 0});
+    const std::int64_t dl = pool_->next_deadline_ns();
+    if (dl != 0 && (deadline_ns == 0 || dl < deadline_ns)) deadline_ns = dl;
+  }
+  // A short timeout so signals are noticed promptly.
+  int timeout_ms = 200;
+  if (deadline_ns != 0)
+    timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
+        (deadline_ns - obs::clock_ns()) / 1'000'000 + 1, 1, 200));
+  ::poll(pfds_.data(), static_cast<nfds_t>(pfds_.size()), timeout_ms);
+}
+
 int Server::run(int in_fd, int out_fd) {
-  if (opts_.workers > 0) return run_pooled(in_fd, out_fd);
   in_fd_ = in_fd;
   out_fd_ = out_fd;
   inbuf_.clear();
-  pending_.clear();
+  inflight_.clear();
   discarding_ = false;
   eof_ = false;
   write_failed_ = false;
   admitted_ = 0;
+  if (opts_.workers > 0 && !pool_ && !start_pool()) return 2;
 
   // Non-blocking reads let the loop interleave pumping (admission) with
-  // solving; poll() below supplies the blocking when there is nothing to do.
+  // dispatch; wait_for_work supplies the blocking when there is nothing to
+  // do.
   const int fl = ::fcntl(in_fd_, F_GETFL);
   if (fl >= 0) ::fcntl(in_fd_, F_SETFL, fl | O_NONBLOCK);
 
-  while (!write_failed_) {
-    if (pending_signal() != 0) {
-      drain_queue();
-      return 0;
+  bool draining = false;
+  std::int64_t drain_deadline_ns = 0;
+  for (;;) {
+    if (!draining && pending_signal() != 0) {
+      draining = true;
+      drain_deadline_ns =
+          obs::clock_ns() +
+          static_cast<std::int64_t>(opts_.drain_timeout_seconds * 1e9);
+      if (pool_) pool_->begin_drain();
     }
-    pump_input();
+    if (!draining) pump_input();
+
+    if (draining) {
+      // Everything not yet on a worker gets a deterministic drain answer.
+      for (InflightEntry& ent : inflight_)
+        if (!ent.done && ent.worker < 0) finish_drained(ent);
+    } else if (pool_) {
+      dispatch_to_pool();
+    } else {
+      solve_oldest();
+    }
+
+    // Flush before blocking: an answer must never wait for the poll below.
+    flush_done_prefix(!draining);
     ISEX_GAUGE_SET("serve.queue.depth", admitted_);
     maybe_flush_stats();
-    if (pending_.empty()) {
-      if (eof_) break;
-      struct pollfd pfd{in_fd_, POLLIN, 0};
-      ::poll(&pfd, 1, 200);  // short timeout so signals are noticed promptly
-      continue;
+    if (write_failed_ || (inflight_.empty() && (eof_ || draining))) break;
+
+    wait_for_work(draining, drain_deadline_ns);
+    if (pool_) {
+      collect_from_pool(draining);
+      if (draining && obs::clock_ns() >= drain_deadline_ns) {
+        // Patience exhausted: kill the stragglers, answer their requests.
+        pool_->shutdown(0);
+        for (InflightEntry& ent : inflight_)
+          if (!ent.done) finish_drained(ent);
+      }
     }
-    PendingEntry e = std::move(pending_.front());
-    pending_.pop_front();
-    if (e.preformed) {
-      write_line(out_fd_, e.text);
-      continue;
-    }
-    --admitted_;
-    // Depth observed *behind* this request drives the shedding decision.
-    write_line(out_fd_, handle_line(e.text, admitted_));
   }
   if (fl >= 0) ::fcntl(in_fd_, F_SETFL, fl);
   return write_failed_ ? 2 : 0;

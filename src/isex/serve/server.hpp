@@ -1,21 +1,31 @@
 // isex::serve — the hardened customization-as-a-service daemon.
 //
-// A single-threaded request loop over a byte-stream transport (stdin/pipe,
-// or a unix socket via run_unix_socket): newline-delimited JSON requests in,
-// one response line per request out, always in request order. The solver
-// core is single-threaded, so the server's job is not parallelism — it is
-// *surviving*: hostile bytes, overload, poisoned requests and signals, with
-// the robust/certify/obs layers supplying budgets, witnesses and metrics.
+// One event loop (Server::run) over a byte-stream transport (stdin/pipe, or
+// a unix socket via run_unix_socket): newline-delimited JSON requests in,
+// one response line per request out, always in request order. Every line
+// takes one slot of an ordered in-flight window as it is read; responses
+// leave strictly from the front of that window, so a request that finishes
+// early waits for the ones ahead of it.
+//
+// The loop thread owns admission, ordering, shedding, drain and the
+// journal. Only dispatch differs between the two modes: with workers == 0
+// the loop solves the oldest queued request inline (the solvers fan out
+// over util::TaskPool, see --threads); with workers > 0 it hands requests
+// to pre-forked crash-isolated worker processes (supervise/pool.hpp) and
+// answers admin lines, quarantined content and exact-byte cache hits
+// itself. Either way the server's job is *surviving*: hostile bytes,
+// overload, poisoned requests and signals, with the robust/certify/obs
+// layers supplying budgets, witnesses and metrics.
 //
 // Overload behavior, outermost defense first:
-//  1. Transport backpressure. The input buffer and the pending queue are
-//     bounded; when both fill, the server simply stops reading and the
-//     kernel blocks the sender. Memory is O(queue) no matter what arrives.
+//  1. Transport backpressure. The input buffer and the window are bounded;
+//     when the window fills, the server simply stops reading and the kernel
+//     blocks the sender. Memory is O(window) no matter what arrives.
 //  2. Admission control. A request arriving while queue_capacity admitted
-//     requests wait is rejected immediately with error code "overload" and
-//     a retry_after_ms hint (EWMA service time x queue depth). The
-//     rejection is queued as a pre-rendered tombstone so responses stay in
-//     request order.
+//     requests are unanswered is rejected immediately with error code
+//     "overload" and a retry_after_ms hint (EWMA service time x queue
+//     depth). The rejection enters the window as a finished tombstone, so
+//     responses stay in request order.
 //  3. Load shedding. Admitted requests solved while the queue is deep are
 //     demoted down the graceful-degradation ladder (FallbackOptions::
 //     start_rung): depth > shed1_depth skips the exact rung, depth >
@@ -32,10 +42,11 @@
 // freshly built task set before reuse, so shared state (the cache) can only
 // ever serve answers that check out now (see cache.hpp).
 //
-// Shutdown: SIGTERM/SIGINT (install_signal_handlers) finishes the in-flight
-// solve, answers every queued request with "shutting_down", flushes, and
-// run() returns 0 — the deterministic clean-drain exit. A second signal
-// aborts immediately with exit 128+sig.
+// Shutdown: SIGTERM/SIGINT (install_signal_handlers) stops reading, answers
+// every request not yet solving with "shutting_down", lets in-flight solves
+// finish (workers get drain_timeout_seconds), flushes, and run() returns 0 —
+// the deterministic clean-drain exit. A second signal aborts immediately
+// with exit 128+sig.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include <poll.h>
 #include <sys/types.h>
 
 #include "isex/obs/journal.hpp"
@@ -54,6 +66,8 @@
 
 namespace isex::supervise {
 class WorkerPool;
+struct PoolEvent;
+struct PoolFrame;
 }
 
 namespace isex::serve {
@@ -77,8 +91,8 @@ struct ServerOptions {
   std::string stats_path;
   double stats_interval_seconds = 0;
 
-  // --- process supervision (workers > 0 switches run() to the pre-forked
-  // crash-isolated pool; see supervise/pool.hpp and DESIGN.md) -------------
+  // --- process supervision (workers > 0 makes run() dispatch to the
+  // pre-forked crash-isolated pool; see supervise/pool.hpp and DESIGN.md) --
   int workers = 0;  // 0 = solve in-process (the original single-process mode)
   /// Watchdog deadline for a dispatched request: watchdog_seconds when > 0,
   /// else the request's effective time budget (server default / schema cap
@@ -165,8 +179,8 @@ class Server {
   /// out_fd. Returns 0 on clean EOF or graceful drain, 2 on a transport
   /// write error. Reentrant across streams — the cache, stats and worker
   /// pool persist, per-stream state resets. With opts.workers > 0 requests
-  /// are dispatched to the crash-isolated pool (run_pooled); otherwise they
-  /// are solved in-process.
+  /// are dispatched to the crash-isolated pool; otherwise they are solved
+  /// in-process.
   int run(int in_fd, int out_fd);
 
   /// In-process entry point (tests, fuzzing, soak, and the worker loop):
@@ -194,24 +208,19 @@ class Server {
   std::string render_introspect(int queue_depth) const;
 
  private:
-  struct PendingEntry {
-    bool preformed = false;  // true: `text` is a ready response line
-    std::string text;        // raw request line, or the response
-  };
-
-  /// One ordered slot of the pooled dispatch loop: a request travelling
-  /// through classification -> dispatch -> worker -> response, or a response
-  /// that is already final. Responses are flushed strictly from the front so
-  /// the in-order contract survives out-of-order worker completion.
+  /// One ordered slot of the in-flight window: an admitted request on its
+  /// way to a response, or a response that is already final (a tombstone,
+  /// or a finished request waiting for the ones ahead of it). Responses are
+  /// flushed strictly from the front, so completion order never leaks out.
   struct InflightEntry {
     bool done = false;
     std::string text;  // request line until done, then the response line
-    std::uint64_t rid = 0;
+    std::uint64_t rid = 0;  // assigned at admission
+    // Pool mode only, filled in by classify().
+    std::int64_t t0_ns = 0;       // classification time; 0 = not classified
     std::uint64_t line_hash = 0;  // content hash (cache + quarantine key)
     std::string id;               // extracted correlation id
     int worker = -1;              // dispatched worker index; -1 = queued
-    int depth_at_dispatch = 0;
-    std::int64_t t0_ns = 0;
     double watchdog_seconds = 0;  // effective per-request deadline span
   };
 
@@ -219,9 +228,9 @@ class Server {
   void pump_input();
   void split_lines();
   void ingest_line(std::string line);
+  std::size_t window_cap() const;
   std::string extract_id(std::string_view line) const;
   long retry_after_ms() const;
-  int admitted_depth() const { return admitted_; }
 
   // Request handling (defense layers 3 and 4).
   int shed_rung_for_depth(int depth) const;
@@ -229,22 +238,34 @@ class Server {
                              std::uint64_t rid);
   std::string handle_select(const Request& req, int queue_depth,
                             std::uint64_t rid);
-  std::string render_stats(const std::string& id, int queue_depth) const;
+  std::string render_stats(int queue_depth) const;
 
-  /// Records the finished request into the per-disposition latency
-  /// histograms and the flight recorder (one kResponse record per response).
-  void note_response(obs::Disposition d, std::int64_t dur_ns,
+  /// Records one response in the flight recorder (one kResponse record per
+  /// response) and, when `timed`, in the per-disposition latency histograms.
+  void note_response(obs::Disposition d, bool timed, std::int64_t dur_ns,
                      std::size_t response_bytes);
   void maybe_flush_stats();
 
-  void drain_queue();
+  // The event loop's shared steps (server.cpp).
+  void solve_oldest();
+  void complete(InflightEntry& ent, std::string response);
+  void finish(InflightEntry& ent, std::string response, obs::Disposition d,
+              bool is_admin);
+  void finish_drained(InflightEntry& ent);
+  void flush_done_prefix(bool reading);
+  void wait_for_work(bool draining, std::int64_t drain_deadline_ns);
   bool write_line(int out_fd, std::string_view line);
 
-  // --- pooled mode (serve/pooled.cpp) -----------------------------------
-  /// The supervisor event loop: admission + classification in-process,
-  /// decode/solve/certify dispatched to the worker pool, full failure
-  /// matrix (crash, hang, poison, restart storm) handled here.
-  int run_pooled(int in_fd, int out_fd);
+  // Pool-mode dispatch (serve/pooled.cpp): bounded classification in the
+  // supervisor, decode/solve/certify on a worker, and the failure matrix
+  // (crash, hang, poison, restart storm).
+  bool start_pool();
+  void classify(InflightEntry& ent);
+  void dispatch_to_pool();
+  void collect_from_pool(bool draining);
+  void finish_from_frame(InflightEntry& ent, const supervise::PoolFrame& frame);
+  void handle_death(InflightEntry& ent, const supervise::PoolEvent& ev,
+                    bool draining);
 
   ServerOptions opts_;
   ResultCache cache_;
@@ -255,18 +276,13 @@ class Server {
   // server itself (not obs) so responses are identical with and without
   // ISEX_NO_OBS. rid 0 is reserved for "no request".
   std::uint64_t next_rid_ = 0;
-  // The disposition of the response being assembled (set by the handlers,
-  // consumed by handle_line); single-threaded by design.
-  obs::Disposition last_disposition_ = obs::Disposition::kError;
-  bool last_is_admin_ = false;  // ping/stats/introspect: excluded from the
-                                // per-disposition latency histograms
-  ResponseMeta meta_;           // full metadata of the last handle_line
+  // Metadata of the response being assembled: set by the handlers,
+  // consumed by handle_line and the worker frame; single-threaded by design.
+  ResponseMeta meta_;
 
-  // Pooled mode only: the worker pool (lazily started by run_pooled, torn
-  // down by the destructor so the pool survives across streams like the
-  // cache does) and the ordered in-flight window.
+  // Pool mode only: the worker pool, started by the first run() and torn
+  // down by the destructor, so it survives across streams like the cache.
   std::unique_ptr<supervise::WorkerPool> pool_;
-  std::deque<InflightEntry> inflight_;
 
   // Request latency in microseconds, total and per disposition. These are
   // direct obs::Histogram members (not registry macros) so the `stats`
@@ -283,8 +299,9 @@ class Server {
   bool discarding_ = false;  // inside an oversized line, dropping until '\n'
   bool eof_ = false;
   bool write_failed_ = false;
-  std::deque<PendingEntry> pending_;
-  int admitted_ = 0;
+  std::deque<InflightEntry> inflight_;  // the ordered window
+  int admitted_ = 0;  // admitted requests not yet answered
+  std::vector<struct pollfd> pfds_;  // poll set, reused across passes
 };
 
 /// Accept loop for `isex serve --socket PATH`: binds a unix stream socket

@@ -2,7 +2,8 @@
 //
 // WorkerPool owns the process-lifecycle half of the failure matrix; the
 // request semantics (what a death *means* for the request that caused it)
-// stay in serve::Server::run_pooled, which consumes the pool's events:
+// stay in serve::Server's pool-mode dispatch (serve/pooled.cpp), which
+// consumes the pool's events:
 //
 //   failure              detection                    pool response
 //   -------------------  --------------------------  ----------------------

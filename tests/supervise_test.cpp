@@ -3,13 +3,17 @@
 // driven over real pipes — in-order responses under multi-worker dispatch,
 // byte-identical results vs the single-process path, crash retry + poison
 // quarantine, the hung-solve watchdog, the restart-storm circuit breaker,
-// respawn after an external SIGKILL, and graceful drain.
+// respawn after an external SIGKILL, and graceful drain — plus the serve
+// loop's mode-independent contract: answers the supervisor makes itself
+// leave without waiting for the poll timeout, and the same traffic with
+// and without workers is answered in order and recorded once.
 //
 // All signal-specific assertions use SIGABRT/SIGKILL: sanitizers may turn a
 // SIGSEGV into a plain exit, but abort() and an external kill -9 terminate
 // with the real signal everywhere.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <string>
@@ -333,6 +337,47 @@ TEST(SupervisePool, InOrderMixedTrafficAndByteIdenticalResults) {
   EXPECT_EQ(session.finish(), 0);
 }
 
+TEST(SupervisePool, SupervisorAnswersDoNotWaitForThePoll) {
+  // Lines the supervisor answers itself (admin commands, exact-byte cache
+  // hits, too_large tombstones) must be written before the loop blocks in
+  // poll(), not when its 200 ms timeout next expires.
+  serve::ServerOptions so;
+  so.workers = 2;
+  so.limits.max_request_bytes = 1024;
+  serve::Server server{so};
+  PipeSession session(server);
+  const auto timed_ms = [&session](const std::string& line,
+                                   std::string* response) {
+    const auto t0 = std::chrono::steady_clock::now();
+    session.send(line);
+    *response = session.recv_line();
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+
+  // A worker solves this first; its result lands in the supervisor cache.
+  const std::string select = inline_select("rep");
+  session.send(select);
+  ASSERT_NE(session.recv_line().find("\"ok\":true"), std::string::npos);
+
+  std::string r;
+  const double ping_ms = timed_ms("{\"id\":\"p\",\"cmd\":\"ping\"}", &r);
+  EXPECT_NE(r.find("\"id\":\"p\""), std::string::npos) << r;
+  EXPECT_LT(ping_ms, 50.0);
+
+  const double hit_ms = timed_ms(select, &r);
+  EXPECT_NE(r.find("\"cache\":\"hit\""), std::string::npos) << r;
+  EXPECT_LT(hit_ms, 50.0);
+
+  // Longer than one 64 KiB read, so the loop is already discarding it when
+  // the newline arrives: the answer is the loop's own tombstone.
+  const double big_ms = timed_ms(std::string(100'000, 'x'), &r);
+  EXPECT_NE(r.find("\"code\":\"too_large\""), std::string::npos) << r;
+  EXPECT_LT(big_ms, 50.0);
+  EXPECT_EQ(session.finish(), 0);
+}
+
 TEST(SupervisePool, CrashRetryThenPoisonQuarantine) {
   serve::ServerOptions so;
   so.workers = 2;
@@ -458,6 +503,60 @@ TEST(SupervisePool, RestartStormOpensBreakerAndFailsFast) {
   EXPECT_GE(json_int_field(stats, "breaker_rejected"), 1);
   EXPECT_EQ(session.finish(), 0);
 }
+
+// --- one event loop, both dispatch modes -----------------------------------
+
+/// `latency_us.<name>.count` of a stats response.
+double stats_latency_count(const std::string& stats, const char* name) {
+  const serve::JsonParseResult pr = serve::json_parse(stats);
+  if (!pr.ok()) return -1;
+  const serve::Json* v = pr.value.find("result");
+  for (const char* key : {"latency_us", name, "count"}) {
+    if (v == nullptr) return -1;
+    v = v->find(key);
+  }
+  return v != nullptr && v->is_number() ? v->as_number() : -1;
+}
+
+class ServeLoopModes : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServeLoopModes, EachResponseRecordedOnceAndInOrder) {
+  // The same closed-loop traffic inline (workers 0) and through the pool
+  // (workers 2) must come back in order and land in the latency histograms
+  // exactly once per response: three solves and one cache hit; the ping is
+  // an admin line and stays out of the latency axes.
+  serve::ServerOptions so;
+  so.workers = GetParam();
+  serve::Server server{so};
+  PipeSession session(server);
+
+  const std::vector<std::pair<std::string, std::string>> reqs = {
+      {"a", inline_select("a", 3.0)},
+      {"b", inline_select("b", 2.0)},
+      {"c", inline_select("c", 1.0)},
+      {"a", inline_select("a", 3.0)},  // byte-identical repeat
+      {"p", "{\"id\":\"p\",\"cmd\":\"ping\"}"},
+  };
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    session.send(reqs[i].second);
+    const std::string line = session.recv_line();
+    EXPECT_NE(line.find("\"id\":\"" + reqs[i].first + "\""),
+              std::string::npos)
+        << "out of order at " << i << ": " << line;
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+    if (i == 3) {
+      EXPECT_NE(line.find("\"cache\":\"hit\""), std::string::npos) << line;
+    }
+  }
+
+  session.send("{\"id\":\"s\",\"cmd\":\"stats\"}");
+  const std::string stats = session.recv_line();
+  EXPECT_EQ(stats_latency_count(stats, "total"), 4) << stats;
+  EXPECT_EQ(stats_latency_count(stats, "cached"), 1) << stats;
+  EXPECT_EQ(session.finish(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, ServeLoopModes, ::testing::Values(0, 2));
 
 TEST(SupervisePool, SigtermDrainsCleanly) {
   serve::install_signal_handlers();
