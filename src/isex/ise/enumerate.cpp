@@ -4,6 +4,7 @@
 #include <atomic>
 #include <unordered_set>
 
+#include "isex/ise/visited_table.hpp"
 #include "isex/obs/trace.hpp"
 #include "isex/util/task_pool.hpp"
 
@@ -201,14 +202,43 @@ std::vector<Candidate> maximal_misos(const ir::Dfg& dfg,
 
 namespace {
 
-/// One level of the growth DFS. Frames are preallocated per search depth so
-/// the inner loop reuses bitset storage instead of allocating per child.
+/// Fixed per-node Zobrist key (splitmix64 of the id); the key of a node set
+/// is the XOR over its members, so adding a node is one XOR.
+std::uint64_t node_key(int v) {
+  std::uint64_t z = static_cast<std::uint64_t>(v) + 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// One level of the growth DFS: the subgraph s (depth + 1 nodes) and
+/// everything the grow step needs about it, maintained incrementally as the
+/// parent adds one node, so no step rescans s.
 struct GrowFrame {
   util::Bitset s;     // current subgraph
   util::Bitset anc;   // union of ancestors(v) over v in s
   util::Bitset desc;  // union of descendants(v) over v in s
-  std::vector<int> frontier;
+  util::Bitset ins;   // register inputs: non-constant operands outside s
+  int num_ins = 0;    // |ins|
+  std::uint64_t key = 0;  // Zobrist key of s
+  int max_node = 0;       // largest id in s (end of the visited window)
+  std::vector<int> frontier;  // sorted eligible neighbours of s
 };
+
+/// Grow state a thread reuses for every seed it enumerates: the depth
+/// frames, the visited table and a neighbour buffer. A thread runs one
+/// seed's subtree at a time (grow never waits on the pool), so the scratch
+/// is never shared, and nothing is allocated per seed once it has grown.
+struct GrowScratch {
+  std::vector<GrowFrame> frames;
+  VisitedTable visited;
+  std::vector<int> nbrs;
+};
+
+GrowScratch& grow_scratch() {
+  thread_local GrowScratch scratch;
+  return scratch;
+}
 
 /// Growth enumeration state shared across the recursion.
 struct GrowCtx {
@@ -218,7 +248,6 @@ struct GrowCtx {
   int block;
   double exec_freq;
   long budget;  // remaining grow-call allowance (max_candidates countdown)
-  std::unordered_set<util::Bitset, util::BitsetHash>* visited;
   std::vector<Candidate>* out;
   robust::Budget* rbudget = nullptr;     // serial path: direct charging
   robust::BudgetShare* share = nullptr;  // parallel path: strided charging
@@ -235,19 +264,89 @@ struct GrowCtx {
   long input_rejects = 0;
   long output_rejects = 0;
   long convexity_rejects = 0;
-  std::vector<GrowFrame> frames = {};
+  GrowScratch& scratch = grow_scratch();
 };
 
-/// Expands the subgraph in frames[depth] (connected, valid nodes only, all
-/// ids >= seed) by every neighbour with id > seed; emits it if legal. The
-/// frame carries the running ancestor/descendant unions, so the convexity
-/// test is O(words) bitops instead of an O(V) full-graph rescan.
+/// True iff u may join a subgraph grown from `seed` that does not hold it.
+bool eligible(const ir::Dfg& dfg, int seed, int u) {
+  return u > seed && dfg.valid_mask().test(static_cast<std::size_t>(u)) &&
+         dfg.node(u).op != ir::Opcode::kConst;
+}
+
 /// How many grow calls a wave seed executes between progress publications.
 /// Smaller = tighter bound on overshoot past an exhausted cap, larger =
 /// less cache traffic on the shared wave counters.
 constexpr long kWavePollStride = 128;
 
-void grow(GrowCtx& ctx, std::size_t depth, int seed) {
+/// Fills frames[depth].frontier: the valid non-constant neighbours of s with
+/// id > seed that are not in s, sorted. Depth 0 scans the seed; deeper
+/// frames merge the parent's frontier minus `added` (the node this frame
+/// added) with added's eligible neighbours, O(frontier + degree).
+void build_frontier(GrowCtx& ctx, std::size_t depth, int seed, int added) {
+  const ir::Dfg& dfg = ctx.dfg;
+  GrowFrame& f = ctx.scratch.frames[depth];
+  std::vector<int>& nb = ctx.scratch.nbrs;
+  nb.clear();
+  auto consider = [&](int u) {
+    if (!f.s.test(static_cast<std::size_t>(u)) && eligible(dfg, seed, u))
+      nb.push_back(u);
+  };
+  for (std::int32_t o : dfg.operands_of(added)) consider(o);
+  for (std::int32_t c : dfg.consumers_of(added)) consider(c);
+  std::sort(nb.begin(), nb.end());
+  nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
+  f.frontier.clear();
+  if (depth == 0) {
+    f.frontier.assign(nb.begin(), nb.end());
+    return;
+  }
+  const std::vector<int>& up = ctx.scratch.frames[depth - 1].frontier;
+  auto a = up.begin();
+  auto b = nb.begin();
+  while (a != up.end() || b != nb.end()) {
+    const bool from_up = b == nb.end() || (a != up.end() && *a < *b);
+    if (!from_up && a != up.end() && *a == *b) ++a;  // in both: take once
+    const int next = from_up ? *a++ : *b++;
+    if (next != added) f.frontier.push_back(next);
+  }
+}
+
+/// Fills frames[depth + 1] with frames[depth]'s subgraph plus node u.
+void extend_frame(GrowCtx& ctx, std::size_t depth, int u, std::uint64_t key) {
+  const GrowFrame& f = ctx.scratch.frames[depth];
+  GrowFrame& child = ctx.scratch.frames[depth + 1];
+  const auto ui = static_cast<std::size_t>(u);
+  child.s = f.s;
+  child.s.set(ui);
+  child.anc = f.anc;
+  child.desc = f.desc;
+  ctx.dfg.reach_union_add(u, child.anc, child.desc);
+  // ins(s + u) = (ins(s) - u) ∪ (operands(u) - (s + u) - constants).
+  child.ins = f.ins;
+  child.num_ins = f.num_ins;
+  if (child.ins.test(ui)) {
+    child.ins.reset(ui);
+    --child.num_ins;
+  }
+  for (std::int32_t o : ctx.dfg.operands_of(u)) {
+    const auto oi = static_cast<std::size_t>(o);
+    if (child.s.test(oi) || child.ins.test(oi) ||
+        ir::is_free_input(ctx.dfg.node(o).op))
+      continue;
+    child.ins.set(oi);
+    ++child.num_ins;
+  }
+  child.key = key;
+  child.max_node = std::max(f.max_node, u);
+}
+
+/// Expands the subgraph in frames[depth] (connected, valid nodes only, all
+/// ids >= seed; `added` is the node its parent added, the seed at depth 0)
+/// by every neighbour with id > seed; emits it if legal. Each frame carries
+/// the running ancestor/descendant unions, input set and Zobrist key, so the
+/// legality tests and the visited probe cost O(words + degree) per step
+/// instead of a rescan of the subgraph.
+void grow(GrowCtx& ctx, std::size_t depth, int seed, int added) {
   if (ctx.budget <= 0 || ctx.truncated) return;
   if (ctx.wave_progress != nullptr && ctx.grow_calls % kWavePollStride == 0) {
     // Publish this seed's progress and re-derive the effective cap from the
@@ -276,11 +375,12 @@ void grow(GrowCtx& ctx, std::size_t depth, int seed) {
   --ctx.budget;
   ++ctx.grow_calls;
   const ir::Dfg& dfg = ctx.dfg;
-  GrowFrame& f = ctx.frames[depth];
-  // Same legality tests in the same short-circuit order as the original
-  // single conjunction; the split only attributes the first failing reason.
-  if (f.s.count() >= 2) {
-    if (dfg.input_count(f.s) > ctx.opts.constraints.max_inputs) {
+  GrowFrame& f = ctx.scratch.frames[depth];
+  const std::size_t size = depth + 1;  // every level adds one node
+  // Legality tests in the order of the original single conjunction; the
+  // split only attributes the first failing reason.
+  if (size >= 2) {
+    if (f.num_ins > ctx.opts.constraints.max_inputs) {
       ++ctx.input_rejects;
     } else if (dfg.output_count(f.s) > ctx.opts.constraints.max_outputs) {
       ++ctx.output_rejects;
@@ -292,73 +392,78 @@ void grow(GrowCtx& ctx, std::size_t depth, int seed) {
           make_candidate(dfg, f.s, ctx.lib, ctx.block, ctx.exec_freq));
     }
   }
-  if (f.s.count() >= static_cast<std::size_t>(ctx.opts.max_candidate_nodes))
-    return;
+  if (size >= static_cast<std::size_t>(ctx.opts.max_candidate_nodes)) return;
 
-  // Frontier: valid neighbours with id > seed not yet in s.
-  const util::Bitset& valid = dfg.valid_mask();
-  f.frontier.clear();
-  f.s.for_each([&](std::size_t v) {
-    auto consider = [&](ir::NodeId u) {
-      const auto ui = static_cast<std::size_t>(u);
-      if (u <= seed || f.s.test(ui) || !valid.test(ui)) return;
-      if (dfg.node(u).op == ir::Opcode::kConst) return;
-      f.frontier.push_back(u);
-    };
-    for (std::int32_t o : dfg.operands_of(static_cast<int>(v))) consider(o);
-    for (std::int32_t c : dfg.consumers_of(static_cast<int>(v))) consider(c);
-  });
-  std::sort(f.frontier.begin(), f.frontier.end());
-  f.frontier.erase(std::unique(f.frontier.begin(), f.frontier.end()),
-                   f.frontier.end());
-
-  GrowFrame& child = ctx.frames[depth + 1];
-  for (int u : f.frontier) {
+  build_frontier(ctx, depth, seed, added);
+  // Visited window: every set of this seed has its lowest bit in the seed's
+  // word, so words before it are zero and need not be stored.
+  const std::size_t lo = static_cast<std::size_t>(seed) >> 6;
+  const std::span<const std::uint64_t> words = f.s.words();
+  // Most probes find a set already visited; loading all their slots up
+  // front overlaps the cache misses.
+  for (int u : f.frontier) ctx.scratch.visited.prefetch(f.key ^ node_key(u));
+  for (std::size_t k = 0; k < f.frontier.size(); ++k) {
     if (ctx.truncated) return;
-    child.s = f.s;
-    child.s.set(static_cast<std::size_t>(u));
-    if (ctx.visited->insert(child.s).second) {
-      if (ctx.rbudget != nullptr &&
-          ctx.rbudget->charge_mem(subgraph_bytes(ctx.dfg))) {
-        ctx.truncated = true;
-        return;
-      }
-      if (ctx.share != nullptr &&
-          ctx.share->charge_mem(subgraph_bytes(ctx.dfg))) {
-        ctx.truncated = true;
-        return;
-      }
-      child.anc = f.anc;
-      child.desc = f.desc;
-      ctx.dfg.reach_union_add(u, child.anc, child.desc);
-      grow(ctx, depth + 1, seed);
+    // The child recursion reads this frontier but never resizes it.
+    const int u = f.frontier[k];
+    const auto ui = static_cast<std::size_t>(u);
+    const std::uint64_t key = f.key ^ node_key(u);
+    const std::size_t hi = static_cast<std::size_t>(std::max(f.max_node, u)) >> 6;
+    f.s.set(ui);  // probe s + u in place, without building the child
+    const bool fresh =
+        ctx.scratch.visited.insert(key, words.subspan(lo, hi - lo + 1));
+    f.s.reset(ui);
+    if (!fresh) continue;
+    if (ctx.rbudget != nullptr &&
+        ctx.rbudget->charge_mem(subgraph_bytes(ctx.dfg))) {
+      ctx.truncated = true;
+      return;
     }
+    if (ctx.share != nullptr && ctx.share->charge_mem(subgraph_bytes(ctx.dfg))) {
+      ctx.truncated = true;
+      return;
+    }
+    extend_frame(ctx, depth, u, key);
+    grow(ctx, depth + 1, seed, u);
   }
 }
 
-/// Sizes ctx.frames for the deepest possible search node and seeds frame 0.
+/// Sizes the frames for the deepest possible search node, seeds frame 0 and
+/// empties the visited table (sets of earlier seeds can never recur).
 void init_frames(GrowCtx& ctx, int seed) {
   const auto depth_cap = static_cast<std::size_t>(
       std::max(2, ctx.opts.max_candidate_nodes) + 2);
-  if (ctx.frames.size() < depth_cap) ctx.frames.resize(depth_cap);
-  GrowFrame& f0 = ctx.frames[0];
-  f0.s = ctx.dfg.empty_set();
+  std::vector<GrowFrame>& frames = ctx.scratch.frames;
+  if (frames.size() < depth_cap) frames.resize(depth_cap);
+  const ir::Dfg& dfg = ctx.dfg;
+  GrowFrame& f0 = frames[0];
+  f0.s = dfg.empty_set();
   f0.s.set(static_cast<std::size_t>(seed));
-  f0.anc = ctx.dfg.ancestors(seed);
-  f0.desc = ctx.dfg.descendants(seed);
+  f0.anc = dfg.ancestors(seed);
+  f0.desc = dfg.descendants(seed);
+  f0.ins = dfg.empty_set();
+  f0.num_ins = 0;
+  for (std::int32_t o : dfg.operands_of(seed)) {
+    const auto oi = static_cast<std::size_t>(o);
+    if (f0.ins.test(oi) || ir::is_free_input(dfg.node(o).op)) continue;
+    f0.ins.set(oi);
+    ++f0.num_ins;
+  }
+  f0.key = node_key(seed);
+  f0.max_node = seed;
+  ctx.scratch.visited.reset();
 }
 
-/// Exact legacy schedule: one thread, seeds in id order, one global visited
-/// set, direct budget charging.
+/// Exact legacy schedule: one thread, seeds in id order, one visited table
+/// reset per seed, direct budget charging.
 std::vector<Candidate> enumerate_connected_serial(const ir::Dfg& dfg,
                                                   const hw::CellLibrary& lib,
                                                   const EnumOptions& opts,
                                                   int block, double exec_freq,
                                                   EnumStats* stats) {
   std::vector<Candidate> out;
-  std::unordered_set<util::Bitset, util::BitsetHash> visited;
-  GrowCtx ctx{dfg,      lib,  opts, block, exec_freq, opts.max_candidates,
-              &visited, &out, opts.budget};
+  GrowCtx ctx{dfg, lib, opts, block, exec_freq, opts.max_candidates, &out,
+              opts.budget};
   const util::Bitset& valid = dfg.valid_mask();
   if (stats != nullptr) stats->seeds_total = dfg.num_nodes();
   for (int seed = 0; seed < dfg.num_nodes(); ++seed) {
@@ -367,7 +472,7 @@ std::vector<Candidate> enumerate_connected_serial(const ir::Dfg& dfg,
     if (!valid.test(static_cast<std::size_t>(seed))) continue;
     if (dfg.node(seed).op == ir::Opcode::kConst) continue;
     init_frames(ctx, seed);
-    grow(ctx, 0, seed);
+    grow(ctx, 0, seed, seed);
     if (ctx.budget <= 0) break;
   }
   if (stats != nullptr && ctx.truncated) {
@@ -399,17 +504,15 @@ SeedRun run_seed(const ir::Dfg& dfg, const hw::CellLibrary& lib,
                  int seed, long local_cap, robust::Budget* shared,
                  std::atomic<long>* wave_progress, std::size_t wave_slot) {
   SeedRun r;
-  std::unordered_set<util::Bitset, util::BitsetHash> visited;
   robust::BudgetShare share(shared);
-  GrowCtx ctx{dfg,      lib,      opts,   block, exec_freq, local_cap,
-              &visited, &r.cands, nullptr};
+  GrowCtx ctx{dfg, lib, opts, block, exec_freq, local_cap, &r.cands, nullptr};
   ctx.share = shared != nullptr ? &share : nullptr;
   ctx.emit_call = &r.emit_call;
   ctx.wave_progress = wave_progress;
   ctx.wave_slot = wave_slot;
   ctx.wave_cap0 = local_cap;
   init_frames(ctx, seed);
-  grow(ctx, 0, seed);
+  grow(ctx, 0, seed, seed);
   // Publish the final count so peers still running stop sooner.
   wave_progress[wave_slot].store(ctx.grow_calls, std::memory_order_relaxed);
   r.calls = ctx.grow_calls;
@@ -427,8 +530,8 @@ SeedRun run_seed(const ir::Dfg& dfg, const hw::CellLibrary& lib,
 ///
 /// Why this is byte-identical when no wall-clock budget interferes: each
 /// subgraph in seed k's subtree has minimum node id k (growth only adds ids
-/// > seed), so the per-seed visited sets partition exactly like the serial
-/// global set, and within one seed the DFS order is unchanged. The only
+/// > seed), so the per-seed visited tables see exactly the sets the serial
+/// loop sees, and within one seed the DFS order is unchanged. The only
 /// cross-seed coupling is the global max_candidates grow-call cap. Serial
 /// semantics: a grow call executes iff the remaining allowance was positive
 /// at entry, so a candidate emitted at (1-based) call e of seed k survives

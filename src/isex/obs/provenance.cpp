@@ -11,6 +11,9 @@
 #ifndef ISEX_BUILD_TYPE
 #define ISEX_BUILD_TYPE "unknown"
 #endif
+#ifndef ISEX_CONFIGURE_GIT_SHA
+#define ISEX_CONFIGURE_GIT_SHA "unknown"
+#endif
 
 namespace isex::obs {
 
@@ -20,7 +23,7 @@ Provenance collect_provenance() {
   if (p.build_type.empty()) p.build_type = "unknown";
   const char* sha = std::getenv("GITHUB_SHA");
   if (sha == nullptr || *sha == '\0') sha = std::getenv("ISEX_GIT_SHA");
-  p.git_sha = (sha != nullptr && *sha != '\0') ? sha : "unknown";
+  p.git_sha = (sha != nullptr && *sha != '\0') ? sha : ISEX_CONFIGURE_GIT_SHA;
   double loads[1] = {-1.0};
   if (::getloadavg(loads, 1) == 1) p.load_avg_1m = loads[0];
   p.num_cpus = static_cast<int>(std::thread::hardware_concurrency());

@@ -15,7 +15,8 @@ namespace isex::obs {
 
 struct Provenance {
   std::string build_type;   // CMAKE_BUILD_TYPE baked in at compile time
-  std::string git_sha;      // $GITHUB_SHA or $ISEX_GIT_SHA, else "unknown"
+  std::string git_sha;      // $GITHUB_SHA or $ISEX_GIT_SHA, else the sha
+                            // at configure time (+"-dirty"), else "unknown"
   double load_avg_1m = -1;  // getloadavg(); -1 if unavailable
   int num_cpus = 0;
   std::string hostname;

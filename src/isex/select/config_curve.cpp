@@ -5,7 +5,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "isex/codegen/schedule.hpp"
 #include "isex/obs/trace.hpp"
 #include "isex/util/task_pool.hpp"
 
@@ -24,6 +23,90 @@ const Config& ConfigCurve::config_at(double area_budget) const {
   return *best;
 }
 
+namespace {
+
+/// The contracted graph of a growing disjoint pool: each accepted CI is one
+/// supernode, every other operation its own node. Adding a CI keeps a joint
+/// atomic schedule iff the contracted graph stays acyclic. The accepted part
+/// is acyclic by invariant, so a new cycle must pass through the newcomer:
+/// it suffices to search forward from the newcomer's external consumers and
+/// ask whether the search re-enters it. This is exactly
+/// codegen::jointly_schedulable on the accepted CIs plus the newcomer,
+/// without rebuilding the contracted graph per candidate.
+class PoolGraph {
+ public:
+  explicit PoolGraph(const ir::Dfg& dfg)
+      : dfg_(dfg),
+        owner_(static_cast<std::size_t>(dfg.num_nodes()), -1),
+        node_mark_(static_cast<std::size_t>(dfg.num_nodes()), 0) {}
+
+  /// True iff accepting `ci` (disjoint from every accepted CI) closes a
+  /// cycle through it: some path leaves ci and re-enters it.
+  bool closes_cycle(const util::Bitset& ci) {
+    ++stamp_;
+    stack_.clear();
+    bool cycle = false;
+    ci.for_each([&](std::size_t v) {
+      for (std::int32_t w : dfg_.consumers_of(static_cast<int>(v)))
+        if (!ci.test(static_cast<std::size_t>(w))) visit(w);
+    });
+    while (!cycle && !stack_.empty()) {
+      const int v = stack_.back();
+      stack_.pop_back();
+      const int k = owner_[static_cast<std::size_t>(v)];
+      if (k >= 0) {
+        // Entering a supernode reaches every consumer of every member.
+        if (ci_mark_[static_cast<std::size_t>(k)] == stamp_) continue;
+        ci_mark_[static_cast<std::size_t>(k)] = stamp_;
+        for (int m : members_[static_cast<std::size_t>(k)])
+          for (std::int32_t w : dfg_.consumers_of(m)) {
+            if (owner_[static_cast<std::size_t>(w)] == k) continue;
+            if (ci.test(static_cast<std::size_t>(w))) cycle = true;
+            visit(w);
+          }
+      } else if (is_schedule_node(v)) {
+        for (std::int32_t w : dfg_.consumers_of(v)) {
+          if (ci.test(static_cast<std::size_t>(w))) cycle = true;
+          visit(w);
+        }
+      }
+    }
+    return cycle;
+  }
+
+  void accept(const util::Bitset& ci) {
+    const int k = static_cast<int>(members_.size());
+    members_.push_back(ci.to_vector());
+    ci_mark_.push_back(0);
+    for (int v : members_.back()) owner_[static_cast<std::size_t>(v)] = k;
+  }
+
+ private:
+  /// Loose inputs and constants are no schedule nodes: the contracted graph
+  /// has no edges through them.
+  bool is_schedule_node(int v) const {
+    const ir::Opcode op = dfg_.node(v).op;
+    return op != ir::Opcode::kInput && op != ir::Opcode::kConst;
+  }
+
+  /// Queues w once per search.
+  void visit(int w) {
+    auto& mark = node_mark_[static_cast<std::size_t>(w)];
+    if (mark == stamp_) return;
+    mark = stamp_;
+    stack_.push_back(w);
+  }
+
+  const ir::Dfg& dfg_;
+  std::vector<int> owner_;  // accepted CI holding each node, -1 if none
+  std::vector<std::vector<int>> members_;
+  std::vector<std::uint32_t> node_mark_, ci_mark_;  // == stamp_: seen
+  std::uint32_t stamp_ = 0;
+  std::vector<int> stack_;
+};
+
+}  // namespace
+
 std::vector<ise::Candidate> disjoint_pool(const ir::Dfg& dfg,
                                           std::vector<ise::Candidate> cands) {
   std::sort(cands.begin(), cands.end(),
@@ -36,17 +119,14 @@ std::vector<ise::Candidate> disjoint_pool(const ir::Dfg& dfg,
             });
   util::Bitset covered = dfg.empty_set();
   std::vector<ise::Candidate> pool;
-  std::vector<util::Bitset> accepted;
+  PoolGraph graph(dfg);
   for (auto& c : cands) {
     if (c.total_gain() <= 0) continue;
     if (c.nodes.intersects(covered)) continue;
     // Disjointness is not enough: the pool must stay jointly atomically
     // schedulable (see codegen::jointly_schedulable).
-    accepted.push_back(c.nodes);
-    if (!codegen::jointly_schedulable(dfg, accepted)) {
-      accepted.pop_back();
-      continue;
-    }
+    if (graph.closes_cycle(c.nodes)) continue;
+    graph.accept(c.nodes);
     covered |= c.nodes;
     pool.push_back(std::move(c));
   }

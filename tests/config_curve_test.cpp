@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "isex/codegen/schedule.hpp"
 #include "test_util.hpp"
 
 namespace isex::select {
@@ -28,6 +31,138 @@ TEST(DisjointPool, NoOverlapAndPositiveGain) {
     EXPECT_FALSE(c.nodes.intersects(covered));
     covered |= c.nodes;
   }
+}
+
+// --- Differential pool test ---------------------------------------------------
+//
+// disjoint_pool tests schedulability incrementally (a forward search from the
+// newcomer's consumers through the contracted accepted pool). The reference
+// is the contraction-per-candidate loop: codegen::jointly_schedulable over
+// every accepted CI plus the newcomer.
+
+std::vector<ise::Candidate> reference_pool(const ir::Dfg& dfg,
+                                           std::vector<ise::Candidate> cands) {
+  std::sort(cands.begin(), cands.end(),
+            [](const ise::Candidate& a, const ise::Candidate& b) {
+              if (a.total_gain() != b.total_gain())
+                return a.total_gain() > b.total_gain();
+              const double da = a.est.area > 0 ? a.total_gain() / a.est.area : 1e18;
+              const double db = b.est.area > 0 ? b.total_gain() / b.est.area : 1e18;
+              return da > db;
+            });
+  util::Bitset covered = dfg.empty_set();
+  std::vector<util::Bitset> accepted;
+  std::vector<ise::Candidate> pool;
+  for (auto& c : cands) {
+    if (c.total_gain() <= 0 || c.nodes.intersects(covered)) continue;
+    accepted.push_back(c.nodes);
+    if (!codegen::jointly_schedulable(dfg, accepted)) {
+      accepted.pop_back();
+      continue;
+    }
+    covered |= c.nodes;
+    pool.push_back(std::move(c));
+  }
+  return pool;
+}
+
+ise::Candidate raw_candidate(const util::Bitset& nodes, double gain,
+                             double area) {
+  ise::Candidate c;
+  c.nodes = nodes;
+  c.est.gain_per_exec = gain;
+  c.est.area = area;
+  return c;
+}
+
+/// A random node set: a short random walk over operand/consumer edges (a
+/// connected set that may be non-convex), sometimes plus one far node.
+util::Bitset random_set(const ir::Dfg& d, util::Rng& rng) {
+  util::Bitset s = d.empty_set();
+  int v = rng.uniform_int(0, d.num_nodes() - 1);
+  s.set(static_cast<std::size_t>(v));
+  const int steps = rng.uniform_int(1, 6);
+  for (int i = 0; i < steps; ++i) {
+    const auto& n = d.node(v);
+    const std::size_t deg = n.operands.size() + n.consumers.size();
+    if (deg == 0) break;
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(deg) - 1));
+    v = k < n.operands.size() ? n.operands[k]
+                              : n.consumers[k - n.operands.size()];
+    s.set(static_cast<std::size_t>(v));
+  }
+  if (rng.chance(0.2))
+    s.set(static_cast<std::size_t>(rng.uniform_int(0, d.num_nodes() - 1)));
+  return s;
+}
+
+TEST(DisjointPool, MatchesContractionReferenceOnRandomCandidates) {
+  int rejected_disjoint = 0, nonconvex_offered = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    util::Rng rng(seed * 104729);
+    const auto d = isex::testing::random_dfg(rng, 4, 30 + static_cast<int>(seed),
+                                             0.1);
+    std::vector<ise::Candidate> cands;
+    const int n = rng.uniform_int(5, 80);
+    for (int i = 0; i < n; ++i) {
+      const util::Bitset s = random_set(d, rng);
+      if (!d.is_convex(s)) ++nonconvex_offered;
+      // Few distinct gains, so the area tie-break orders candidates too.
+      cands.push_back(raw_candidate(s, rng.uniform_int(-1, 6),
+                                    rng.uniform_int(0, 4)));
+    }
+    const auto want = reference_pool(d, cands);
+    const auto got = disjoint_pool(d, cands);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i].nodes, want[i].nodes) << "seed " << seed << " #" << i;
+    // Candidates disjoint from the pool yet refused: the schedulability test
+    // decided something.
+    util::Bitset covered = d.empty_set();
+    for (const auto& c : got) covered |= c.nodes;
+    for (const auto& c : cands)
+      if (c.total_gain() > 0 && !c.nodes.intersects(covered))
+        ++rejected_disjoint;
+  }
+  EXPECT_GT(nonconvex_offered, 0);
+  EXPECT_GT(rejected_disjoint, 0);
+}
+
+TEST(DisjointPool, RejectsCycleClosingOnlyThroughTwoAcceptedCis) {
+  // x -> a1, a2 -> b1, b2 -> y with A = {a1, a2}, B = {b1, b2}, C = {x, y}.
+  // Every pair is jointly schedulable; all three contract to C -> A -> B -> C.
+  ir::Dfg d;
+  const auto in = d.add(ir::Opcode::kInput);
+  const auto x = d.add(ir::Opcode::kAdd, {in, in});
+  const auto a1 = d.add(ir::Opcode::kAdd, {x, in});
+  const auto a2 = d.add(ir::Opcode::kAdd, {in, in});
+  const auto b1 = d.add(ir::Opcode::kXor, {a2, in});
+  const auto b2 = d.add(ir::Opcode::kXor, {in, in});
+  const auto y = d.add(ir::Opcode::kSub, {b2, in});
+  for (auto v : {a1, b1, y}) d.mark_live_out(v);
+  auto set_of = [&](std::initializer_list<ir::NodeId> ids) {
+    util::Bitset s = d.empty_set();
+    for (auto v : ids) s.set(static_cast<std::size_t>(v));
+    return s;
+  };
+  const auto A = set_of({a1, a2}), B = set_of({b1, b2}), C = set_of({x, y});
+  for (const auto& pair : {std::vector{A, B}, std::vector{A, C}, std::vector{B, C}})
+    ASSERT_TRUE(codegen::jointly_schedulable(d, pair));
+  ASSERT_FALSE(codegen::jointly_schedulable(d, {A, B, C}));
+
+  const std::vector<ise::Candidate> cands = {
+      raw_candidate(C, 1, 1), raw_candidate(A, 3, 1), raw_candidate(B, 2, 1)};
+  const auto pool = disjoint_pool(d, cands);
+  ASSERT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool[0].nodes, A);
+  EXPECT_EQ(pool[1].nodes, B);
+  // With C outranking B, B is the one refused.
+  const auto pool2 = disjoint_pool(
+      d, {raw_candidate(C, 2, 1), raw_candidate(A, 3, 1), raw_candidate(B, 1, 1)});
+  ASSERT_EQ(pool2.size(), 2u);
+  EXPECT_EQ(pool2[0].nodes, A);
+  EXPECT_EQ(pool2[1].nodes, C);
 }
 
 class CurveProperty : public ::testing::TestWithParam<int> {};

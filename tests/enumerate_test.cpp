@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <unordered_set>
+#include <variant>
 
+#include "isex/frontend/fixtures.hpp"
+#include "isex/frontend/lift.hpp"
+#include "isex/ise/visited_table.hpp"
+#include "isex/obs/metrics.hpp"
+#include "isex/robust/budget.hpp"
+#include "isex/util/task_pool.hpp"
+#include "isex/workloads/workloads.hpp"
 #include "test_util.hpp"
 
 namespace isex::ise {
@@ -147,6 +158,304 @@ TEST(Estimate, ChainedAddsFitOneCycle) {
   EXPECT_DOUBLE_EQ(e.sw_cycles, 4);
   EXPECT_DOUBLE_EQ(e.gain_per_exec, 3);
   EXPECT_NEAR(e.area, 4.0, 1e-9);
+}
+
+
+// --- Differential grow test --------------------------------------------------
+//
+// The connected-growth enumerator keeps an incremental frame per search depth
+// (input set, Zobrist key, merged frontier) and a flat visited table reset
+// per seed. The oracle below is the straightforward form it replaced: one
+// hash set of whole bitsets for the entire block, Dfg::input_count per grow
+// call, a frontier rescan of the subgraph per call and the reference
+// convexity scan. Both must emit the same node sets in the same order and do
+// the same counted work, including where a grow-call cap, a node budget or a
+// memory budget cuts the search mid-seed.
+
+struct OracleRun {
+  std::vector<util::Bitset> sets;  // emission order
+  std::map<std::string, std::uint64_t> counters;
+  bool cap_hit = false;
+};
+
+class GrowOracle {
+ public:
+  GrowOracle(const ir::Dfg& dfg, const EnumOptions& opts)
+      : dfg_(dfg), opts_(opts), budget_(opts.max_candidates) {}
+
+  OracleRun run() {
+    for (int seed = 0; seed < dfg_.num_nodes(); ++seed) {
+      if (truncated_) break;
+      if (!dfg_.valid_mask().test(static_cast<std::size_t>(seed))) continue;
+      if (dfg_.node(seed).op == ir::Opcode::kConst) continue;
+      util::Bitset s = dfg_.empty_set();
+      s.set(static_cast<std::size_t>(seed));
+      grow(s, seed);
+      if (budget_ <= 0) break;
+    }
+    OracleRun r;
+    r.sets = std::move(sets_);
+    r.cap_hit = budget_ <= 0;
+    auto put = [&](const char* name, long v) {
+      if (v != 0) r.counters[name] = static_cast<std::uint64_t>(v);
+    };
+    put("ise.enum.candidates", static_cast<long>(r.sets.size()));
+    put("ise.enum.grow_calls", grow_calls_);
+    put("ise.enum.input_rejects", input_rejects_);
+    put("ise.enum.output_rejects", output_rejects_);
+    put("ise.enum.convexity_rejects", convexity_rejects_);
+    put("ise.enum.budget_exhausted", r.cap_hit ? 1 : 0);
+    put("ise.enum.robust_budget_truncations", truncated_ ? 1 : 0);
+    return r;
+  }
+
+ private:
+  void grow(const util::Bitset& s, int seed) {
+    if (budget_ <= 0 || truncated_) return;
+    if (opts_.budget != nullptr && opts_.budget->charge()) {
+      truncated_ = true;
+      return;
+    }
+    --budget_;
+    ++grow_calls_;
+    const Constraints& c = opts_.constraints;
+    if (s.count() >= 2) {
+      if (dfg_.input_count(s) > c.max_inputs) {
+        ++input_rejects_;
+      } else if (dfg_.output_count(s) > c.max_outputs) {
+        ++output_rejects_;
+      } else if (!dfg_.is_convex_scan(s)) {
+        ++convexity_rejects_;
+      } else {
+        sets_.push_back(s);
+      }
+    }
+    if (s.count() >= static_cast<std::size_t>(opts_.max_candidate_nodes))
+      return;
+    std::vector<int> frontier;
+    s.for_each([&](std::size_t v) {
+      auto consider = [&](int u) {
+        const auto ui = static_cast<std::size_t>(u);
+        if (u <= seed || s.test(ui) || !dfg_.valid_mask().test(ui)) return;
+        if (dfg_.node(u).op == ir::Opcode::kConst) return;
+        frontier.push_back(u);
+      };
+      for (int o : dfg_.node(static_cast<int>(v)).operands) consider(o);
+      for (int u : dfg_.node(static_cast<int>(v)).consumers) consider(u);
+    });
+    std::sort(frontier.begin(), frontier.end());
+    frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                   frontier.end());
+    const std::size_t bytes =
+        8 * ((static_cast<std::size_t>(dfg_.num_nodes()) + 63) / 64) + 64;
+    for (int u : frontier) {
+      if (truncated_) return;
+      util::Bitset child = s;
+      child.set(static_cast<std::size_t>(u));
+      if (!visited_.insert(child).second) continue;
+      if (opts_.budget != nullptr && opts_.budget->charge_mem(bytes)) {
+        truncated_ = true;
+        return;
+      }
+      grow(child, seed);
+    }
+  }
+
+  const ir::Dfg& dfg_;
+  const EnumOptions& opts_;
+  long budget_;
+  bool truncated_ = false;
+  std::unordered_set<util::Bitset, util::BitsetHash> visited_;
+  std::vector<util::Bitset> sets_;
+  long grow_calls_ = 0, input_rejects_ = 0, output_rejects_ = 0,
+       convexity_rejects_ = 0;
+};
+
+class ThreadCap {
+ public:
+  explicit ThreadCap(int n) { util::set_max_threads(n); }
+  ~ThreadCap() { util::set_max_threads(0); }
+};
+
+#if ISEX_OBS_ENABLED
+std::map<std::string, std::uint64_t> enum_counters() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, v] : obs::Registry::global().snapshot().counters)
+    if (name.rfind("ise.enum.", 0) == 0 && v != 0) out[name] = v;
+  return out;
+}
+#endif
+
+/// Budget limits of one differential case (fresh Budget per run: budgets
+/// carry state).
+struct BudgetSpec {
+  long nodes = -1;
+  std::size_t mem = 0;
+};
+
+/// Runs the oracle and enumerate_connected at `threads` on the same inputs
+/// and compares emissions and counters. Returns the oracle's run.
+OracleRun expect_same_growth(const ir::Dfg& dfg, EnumOptions opts, int threads,
+                        const BudgetSpec& spec, const std::string& what) {
+  auto make_budget = [&] {
+    robust::Budget b;
+    if (spec.nodes >= 0) b.set_node_budget(spec.nodes);
+    if (spec.mem > 0) b.set_mem_budget(spec.mem);
+    return b;
+  };
+  const bool budgeted = spec.nodes >= 0 || spec.mem > 0;
+  robust::Budget oracle_budget = make_budget();
+  opts.budget = budgeted ? &oracle_budget : nullptr;
+  const OracleRun want = GrowOracle(dfg, opts).run();
+
+  robust::Budget budget = make_budget();
+  opts.budget = budgeted ? &budget : nullptr;
+  ThreadCap cap(threads);
+  obs::Registry::global().reset();
+  const auto got = enumerate_connected(dfg, lib(), opts);
+  EXPECT_EQ(got.size(), want.sets.size()) << what;
+  for (std::size_t i = 0; i < std::min(got.size(), want.sets.size()); ++i)
+    if (got[i].nodes != want.sets[i]) {
+      ADD_FAILURE() << what << ": emission " << i << " differs";
+      break;
+    }
+#if ISEX_OBS_ENABLED
+  // Parallel runs overshoot a binding cap before the replay trims the
+  // output, so their work counters are defined only where it does not bind.
+  if (threads == 1 || !want.cap_hit) {
+    EXPECT_EQ(enum_counters(), want.counters) << what;
+  }
+#endif
+  return want;
+}
+
+TEST(GrowDifferential, RandomDfgsWithAndWithoutBindingCaps) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(seed * 7919);
+    // Below and above the 64-node threshold of the parallel wave path.
+    const int ops = seed % 2 == 0 ? 40 : 90 + static_cast<int>(seed) * 4;
+    const ir::Dfg d = isex::testing::random_dfg(rng, 4, ops, 0.08);
+    for (long cap_calls : {20000L, 777L, 50L}) {
+      for (int nodes : {40, 6}) {
+        EnumOptions opts;
+        opts.max_candidates = cap_calls;
+        opts.max_candidate_nodes = nodes;
+        for (int threads : {1, 4})
+          expect_same_growth(d, opts, threads, {},
+                             "seed " + std::to_string(seed) + " cap " +
+                                 std::to_string(cap_calls) + " nodes " +
+                                 std::to_string(nodes) + " threads " +
+                                 std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(GrowDifferential, NodeAndMemoryBudgetsCutMidSeed) {
+  util::Rng rng(4242);
+  const ir::Dfg d = isex::testing::random_dfg(rng, 4, 80, 0.1);
+  EnumOptions opts;
+  opts.max_candidate_nodes = 6;
+  const OracleRun full = expect_same_growth(d, opts, 1, {}, "unbudgeted");
+  ASSERT_FALSE(full.cap_hit);
+  const long calls =
+      static_cast<long>(full.counters.at("ise.enum.grow_calls"));
+  ASSERT_GT(calls, 200);
+  const std::size_t entry =
+      8 * ((static_cast<std::size_t>(d.num_nodes()) + 63) / 64) + 64;
+  auto truncated = [](const OracleRun& r) {
+    return r.counters.count("ise.enum.robust_budget_truncations") == 1;
+  };
+  for (int threads : {1, 4}) {
+    for (long nodes : {calls / 3, calls / 2 + 1, calls - 1})
+      EXPECT_TRUE(truncated(
+          expect_same_growth(d, opts, threads, {nodes, 0},
+                             "node budget " + std::to_string(nodes))));
+    for (std::size_t sets : {std::size_t{37}, std::size_t{101}})
+      EXPECT_TRUE(truncated(expect_same_growth(
+          d, opts, threads, {-1, sets * entry},
+          "mem budget " + std::to_string(sets) + " sets")));
+  }
+}
+
+TEST(GrowDifferential, EveryBlockOfTheKernelsAndFixtures) {
+  std::vector<std::pair<std::string, ir::Program>> progs;
+  for (const char* k :
+       {"crc32", "sha", "blowfish", "rijndael", "susan", "adpcm_enc",
+        "adpcm_dec", "cjpeg", "djpeg", "g721encode", "g721decode", "jfdctint",
+        "ndes", "edn", "lms", "compress", "aes", "3des"})
+    progs.emplace_back(k, workloads::make_benchmark(k));
+  for (const auto& f : frontend::fixtures()) {
+    auto lr = frontend::lift_elf(f.elf, f.name, frontend::LiftOptions{});
+    ASSERT_TRUE(std::holds_alternative<frontend::Lifted>(lr)) << f.name;
+    progs.emplace_back("fixture:" + f.name,
+                       std::move(std::get<frontend::Lifted>(lr).program));
+  }
+  int binding = 0, free = 0;
+  for (const auto& [name, prog] : progs)
+    for (int b = 0; b < prog.num_blocks(); ++b) {
+      const ir::Dfg& d = prog.block(b).dfg;
+      EnumOptions opts;
+      opts.max_candidates = 4000;  // binds on the big blocks only
+      opts.max_candidate_nodes = d.num_nodes() > 600 ? 16 : 24;
+      for (int threads : {1, 4}) {
+        const OracleRun r = expect_same_growth(
+            d, opts, threads, {},
+            name + " block " + std::to_string(b) + " threads " +
+                std::to_string(threads));
+        ++(r.cap_hit ? binding : free);
+      }
+    }
+  EXPECT_GT(binding, 0);
+  EXPECT_GT(free, 0);
+}
+
+// --- Visited table -----------------------------------------------------------
+
+TEST(VisitedTable, EqualKeysNeverMergeDistinctSets) {
+  VisitedTable t;
+  const std::uint64_t a[] = {1, 2}, b[] = {1, 3}, c[] = {1};
+  EXPECT_TRUE(t.insert(42, a));
+  EXPECT_TRUE(t.insert(42, b));  // same key, different words
+  EXPECT_TRUE(t.insert(42, c));  // same key, prefix of a
+  EXPECT_FALSE(t.insert(42, a));
+  EXPECT_FALSE(t.insert(42, b));
+  EXPECT_FALSE(t.insert(42, c));
+  EXPECT_TRUE(t.insert(43, a));  // same words, different key: a new entry
+  EXPECT_EQ(t.size(), 4u);
+}
+
+TEST(VisitedTable, RehashKeepsEverySet) {
+  VisitedTable t;
+  const std::size_t n = 5000;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t w[] = {i, i * 3};
+    ASSERT_TRUE(t.insert(i % 97, w)) << i;  // heavy key collisions too
+  }
+  EXPECT_EQ(t.size(), n);
+  EXPECT_GE(t.capacity(), 2 * n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t w[] = {i, i * 3};
+    ASSERT_FALSE(t.insert(i % 97, w)) << i;
+  }
+}
+
+TEST(VisitedTable, ResetForgetsSetsAndKeepsCapacity) {
+  VisitedTable t;
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    const std::uint64_t w[] = {i};
+    t.insert(i * 0x9e3779b97f4a7c15ull, w);
+  }
+  const std::size_t cap = t.capacity();
+  for (int round = 0; round < 3; ++round) {
+    t.reset();
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.capacity(), cap);
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+      const std::uint64_t w[] = {i};
+      ASSERT_TRUE(t.insert(i * 0x9e3779b97f4a7c15ull, w)) << round << " " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cctype>
 #include <cstdint>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include "isex/customize/select_edf.hpp"
 #include "isex/customize/select_rms.hpp"
 #include "isex/obs/metrics.hpp"
+#include "isex/obs/provenance.hpp"
 #include "isex/obs/trace.hpp"
 #include "isex/rt/simulator.hpp"
 #include "isex/util/stopwatch.hpp"
@@ -422,6 +424,21 @@ TEST(ObsInvarianceTest, SimulationBitIdenticalWithTracingOnAndOff) {
   else
     EXPECT_EQ(tb.size(), 0u);
   tb.clear();
+}
+
+TEST(ProvenanceTest, EnvironmentShaWinsOverConfigureTimeSha) {
+  const char* github = std::getenv("GITHUB_SHA");
+  const std::string saved = github != nullptr ? github : "";
+  ::unsetenv("GITHUB_SHA");
+  ::setenv("ISEX_GIT_SHA", "0123abc", 1);
+  EXPECT_EQ(obs::collect_provenance().git_sha, "0123abc");
+  ::unsetenv("ISEX_GIT_SHA");
+  // Without either variable: the sha stamped at configure time, or
+  // "unknown" outside a git checkout; never empty.
+  const std::string fallback = obs::collect_provenance().git_sha;
+  EXPECT_FALSE(fallback.empty());
+  EXPECT_NE(fallback, "0123abc");
+  if (!saved.empty()) ::setenv("GITHUB_SHA", saved.c_str(), 1);
 }
 
 }  // namespace
