@@ -206,39 +206,33 @@ int main(int argc, char** argv) {
 
   const char* env = std::getenv("ISEX_BENCH_OUT");
   const std::string out_path = env && *env ? env : "BENCH_lift.json";
+  util::JsonWriter w;
+  obs::write_provenance_json(w.begin_object().key("provenance"),
+                             obs::collect_provenance());
+  w.key("reps").integer(reps).key("iters").integer(iters);
+  w.key("fixtures").begin_array();
+  for (const auto& r : rows) {
+    w.begin_object().key("name").string(r.name);
+    w.key("image_bytes").integer(r.image_bytes);
+    w.key("instructions").integer(r.stats.decoded_instructions);
+    w.key("illegal").integer(r.stats.illegal_instructions);
+    w.key("blocks").integer(r.stats.blocks).key("nodes").integer(r.stats.nodes);
+    w.key("operations").integer(r.stats.operations);
+    w.key("wall_seconds").number(r.wall_seconds);
+    w.key("lifts_per_sec").number(r.lifts_per_sec);
+    w.key("insts_per_sec").number(r.insts_per_sec).end_object();
+  }
+  w.end_array().key("corpus").begin_object();
+  w.key("inputs").integer(cr.inputs).key("ok").integer(cr.ok);
+  w.key("rejected").integer(cr.rejected);
+  w.key("internal_errors").integer(cr.internal);
+  w.key("wall_seconds").number(cr.wall_seconds);
+  w.key("inputs_per_sec").number(cr.inputs_per_sec).end_object();
   std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", out_path.c_str());
+  if (!(out << w.end_object().str() << '\n')) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
     return 2;
   }
-  out << "{\n\"provenance\": ";
-  obs::write_provenance_json(out, obs::collect_provenance());
-  out << ",\n\"reps\": " << reps << ",\n\"iters\": " << iters
-      << ",\n\"fixtures\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    char buf[384];
-    std::snprintf(
-        buf, sizeof buf,
-        "  {\"name\": \"%s\", \"image_bytes\": %zu, \"instructions\": %ld, "
-        "\"illegal\": %ld, \"blocks\": %ld, \"nodes\": %ld, "
-        "\"operations\": %ld, \"wall_seconds\": %.6f, "
-        "\"lifts_per_sec\": %.1f, \"insts_per_sec\": %.1f}",
-        r.name.c_str(), r.image_bytes, r.stats.decoded_instructions,
-        r.stats.illegal_instructions, static_cast<long>(r.stats.blocks),
-        r.stats.nodes, r.stats.operations, r.wall_seconds, r.lifts_per_sec,
-        r.insts_per_sec);
-    out << buf << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  out << "],\n\"corpus\": {";
-  char cbuf[256];
-  std::snprintf(cbuf, sizeof cbuf,
-                "\"inputs\": %ld, \"ok\": %ld, \"rejected\": %ld, "
-                "\"internal_errors\": %ld, \"wall_seconds\": %.6f, "
-                "\"inputs_per_sec\": %.1f",
-                cr.inputs, cr.ok, cr.rejected, cr.internal, cr.wall_seconds,
-                cr.inputs_per_sec);
-  out << cbuf << "}\n}\n";
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   return cr.internal == 0 ? 0 : 1;
 }

@@ -222,32 +222,28 @@ int main(int argc, char** argv) {
 
   const char* env = std::getenv("ISEX_BENCH_OUT");
   const std::string out_path = env && *env ? env : "BENCH_parallel.json";
+  util::JsonWriter w;
+  obs::write_provenance_json(w.begin_object().key("provenance"),
+                             obs::collect_provenance());
+  w.key("num_cpus").integer(ncpu).key("reps").integer(reps);
+  w.key("kernels").begin_array();
+  for (const auto& kr : results) {
+    w.begin_object().key("name").string(kr.name).key("points").begin_array();
+    for (const auto& p : kr.points) {
+      w.begin_object().key("threads").integer(p.threads);
+      w.key("wall_seconds").number(p.wall_seconds);
+      w.key("speedup").number(p.speedup);
+      w.key("efficiency").number(p.efficiency);
+      w.key("byte_mismatches").integer(p.byte_mismatches).end_object();
+    }
+    w.end_array().end_object();
+  }
+  w.end_array().key("total_byte_mismatches").integer(total_mismatches);
   std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", out_path.c_str());
+  if (!(out << w.end_object().str() << '\n')) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
     return 2;
   }
-  out << "{\n\"provenance\": ";
-  obs::write_provenance_json(out, obs::collect_provenance());
-  out << ",\n\"num_cpus\": " << ncpu << ",\n\"reps\": " << reps
-      << ",\n\"kernels\": [\n";
-  for (std::size_t k = 0; k < results.size(); ++k) {
-    const auto& kr = results[k];
-    out << "  {\"name\": \"" << kr.name << "\", \"points\": [";
-    for (std::size_t i = 0; i < kr.points.size(); ++i) {
-      const auto& p = kr.points[i];
-      char buf[256];
-      std::snprintf(buf, sizeof buf,
-                    "{\"threads\": %d, \"wall_seconds\": %.6f, "
-                    "\"speedup\": %.4f, \"efficiency\": %.4f, "
-                    "\"byte_mismatches\": %d}",
-                    p.threads, p.wall_seconds, p.speedup, p.efficiency,
-                    p.byte_mismatches);
-      out << buf << (i + 1 < kr.points.size() ? ", " : "");
-    }
-    out << "]}" << (k + 1 < results.size() ? ",\n" : "\n");
-  }
-  out << "],\n\"total_byte_mismatches\": " << total_mismatches << "\n}\n";
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   return total_mismatches == 0 ? 0 : 1;
 }

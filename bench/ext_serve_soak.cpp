@@ -36,8 +36,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -73,51 +73,48 @@ double percentile(std::vector<double>& v, double p) {
 }
 
 // Response classes mirroring obs::Disposition, reconstructed client-side
-// from the response text (the same precedence the server uses when it
+// from the parsed response (the same precedence the server uses when it
 // journals kResponse: cache hit, then shed, then non-Exact status).
 constexpr const char* kDispositions[] = {"exact", "degraded", "shed", "cached",
                                          "error"};
 
-int classify_response(const std::string& line, bool ok) {
-  if (!ok) return 4;
-  if (line.find("\"cache\":\"hit\"") != std::string::npos) return 3;
-  if (line.find("\"shed_rung\":1") != std::string::npos ||
-      line.find("\"shed_rung\":2") != std::string::npos)
-    return 2;
-  if (line.find("\"status\":\"Degraded\"") != std::string::npos ||
-      line.find("\"status\":\"BudgetTruncated\"") != std::string::npos)
-    return 1;
-  return 0;
+bool is_string(const serve::Json* v, std::string_view s) {
+  return v != nullptr && v->is_string() && v->as_string() == s;
 }
 
-void write_latency_block(std::ostream& out, std::vector<double>& v) {
-  out << "{\"count\": " << v.size() << ", \"p50\": " << percentile(v, 0.50)
-      << ", \"p90\": " << percentile(v, 0.90)
-      << ", \"p99\": " << percentile(v, 0.99) << "}";
-}
+/// What one parsed response says about how it was answered.
+struct Verdict {
+  bool ok = false, cache_hit = false, shed = false, degraded = false;
+  std::string code;  // error code; "" on success
 
-/// The balanced-brace object starting at `"key":` in a flat JSON rendering,
-/// or "null" when absent (used to lift the introspect worker_pool object
-/// into the bench artifact verbatim).
-std::string extract_object(const std::string& s, const std::string& key) {
-  const std::size_t k = s.find("\"" + key + "\":");
-  if (k == std::string::npos) return "null";
-  std::size_t i = s.find('{', k);
-  if (i == std::string::npos) return "null";
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t j = i; j < s.size(); ++j) {
-    const char c = s[j];
-    if (in_string) {
-      if (c == '\\') ++j;
-      else if (c == '"') in_string = false;
-      continue;
+  explicit Verdict(const serve::Json& v) {
+    const serve::Json* okf = v.find("ok");
+    ok = okf != nullptr && okf->is_bool() && okf->as_bool();
+    cache_hit = is_string(v.find("cache"), "hit");
+    if (const serve::Json* r = v.find("result"); r != nullptr) {
+      const serve::Json* rung = r->find("shed_rung");
+      shed = rung != nullptr && rung->is_number() && rung->as_number() >= 1;
+      degraded = is_string(r->find("status"), "Degraded") ||
+                 is_string(r->find("status"), "BudgetTruncated");
     }
-    if (c == '"') in_string = true;
-    else if (c == '{') ++depth;
-    else if (c == '}' && --depth == 0) return s.substr(i, j - i + 1);
+    const serve::Json* e = v.find("error");
+    const serve::Json* c = e != nullptr ? e->find("code") : nullptr;
+    if (c != nullptr && c->is_string()) code = c->as_string();
   }
-  return "null";
+
+  int disposition() const {
+    if (!ok) return 4;
+    if (cache_hit) return 3;
+    if (shed) return 2;
+    return degraded ? 1 : 0;
+  }
+};
+
+void write_latency_block(util::JsonWriter& w, std::vector<double>& v) {
+  w.begin_object().key("count").integer(v.size());
+  w.key("p50").number(percentile(v, 0.50));
+  w.key("p90").number(percentile(v, 0.90));
+  w.key("p99").number(percentile(v, 0.99)).end_object();
 }
 
 /// The stable `result` object tail of a success envelope ("" when absent).
@@ -263,19 +260,15 @@ int main(int argc, char** argv) {
       check(false, "response lacks an ok verdict");
       continue;
     }
-    if (okf->as_bool()) ++ok_lines; else ++err_lines;
-    if (line.find("\"shed_rung\":1") != std::string::npos ||
-        line.find("\"shed_rung\":2") != std::string::npos)
-      ++shed;
-    if (line.find("\"status\":\"Degraded\"") != std::string::npos ||
-        line.find("\"status\":\"BudgetTruncated\"") != std::string::npos)
-      ++degraded;
-    if (line.find("\"code\":\"overload\"") != std::string::npos) ++overload;
-    if (line.find("\"cache\":\"hit\"") != std::string::npos) ++cache_hits;
+    const Verdict v(parsed.value);
+    if (v.ok) ++ok_lines; else ++err_lines;
+    shed += v.shed;
+    degraded += v.degraded;
+    overload += v.code == "overload";
+    cache_hits += v.cache_hit;
     const std::size_t li = static_cast<std::size_t>(lines - 1);
     if (li < latencies_ms.size())
-      lat_by_class[classify_response(line, okf->as_bool())].push_back(
-          latencies_ms[li]);
+      lat_by_class[v.disposition()].push_back(latencies_ms[li]);
   }
   check(lines == requests, "response count != request count");
   check(ok_lines > 0, "no successful responses at all");
@@ -314,14 +307,14 @@ int main(int argc, char** argv) {
       const std::string req =
           serve::make_traffic_line(rng2, static_cast<int>(i), topts);
       const std::string& resp = responses[static_cast<std::size_t>(i)];
-      const std::string id_token =
-          "\"id\":\"t" + std::to_string(i) + "\"";
+      const serve::JsonParseResult parsed = serve::json_parse(resp);
+      const std::string id = "t" + std::to_string(i);
       // In-order contract: response i answers request i, checkable whenever
       // the request parses (the malformed band still *contains* the id bytes
       // but is correctly answered with "id":null) and carried its index.
-      if (req.find(id_token) != std::string::npos &&
-          serve::json_parse(req).ok() &&
-          resp.find(id_token) == std::string::npos) {
+      const serve::JsonParseResult req_parsed = serve::json_parse(req);
+      if (req_parsed.ok() && is_string(req_parsed.value.find("id"), id) &&
+          !is_string(parsed.value.find("id"), id)) {
         check(false, "response out of order (id mismatch at index)");
         static int shown = 0;
         if (++shown <= 3)
@@ -338,15 +331,15 @@ int main(int argc, char** argv) {
       // Identity is only defined for deterministic solves: admin commands
       // (stats counters differ by construction) and over-budget traffic
       // (wall-clock truncation is timing-dependent by design) are out.
-      if (req.find("\"cmd\":\"select\"") == std::string::npos) continue;
-      if (req.find("\"time_budget_ms\":") != std::string::npos) continue;
+      if (!is_string(req_parsed.value.find("cmd"), "select")) continue;
+      if (req_parsed.value.find("time_budget_ms") != nullptr) continue;
       const std::string tail = result_tail(resp);
       if (tail.empty()) {
         // Innocent request without a result object: either a legitimate
         // error (malformed/bad schema — the reference answers the same
         // class) or a collateral worker death. Count the latter.
-        if (resp.find("worker_") != std::string::npos ||
-            resp.find("quarantined") != std::string::npos)
+        const std::string code = Verdict(parsed.value).code;
+        if (code.rfind("worker_", 0) == 0 || code == "quarantined")
           ++collateral_errors;
         continue;
       }
@@ -400,58 +393,52 @@ int main(int argc, char** argv) {
         byte_mismatches, collateral_errors);
   }
 
-  std::ofstream json(out_path);
-  if (json) {
-    const auto& st = server.stats();
-    json << "{\n  \"provenance\": ";
-    obs::write_provenance_json(json, obs::collect_provenance());
-    json << ",\n  \"requests\": " << lines
-         << ",\n  \"elapsed_seconds\": " << elapsed_s
-         << ",\n  \"throughput_rps\": " << throughput
-         << ",\n  \"ok\": " << ok_lines << ",\n  \"errors\": " << err_lines
-         << ",\n  \"shed_responses\": " << shed
-         << ",\n  \"degraded_responses\": " << degraded
-         << ",\n  \"overload_rejected\": " << overload
-         << ",\n  \"cache_hits\": " << cache_hits
-         << ",\n  \"accepted\": " << st.accepted
-         << ",\n  \"parse_errors\": " << st.parse_errors
-         << ",\n  \"bad_requests\": " << st.bad_requests
-         << ",\n  \"solved\": " << st.solved
-         << ",\n  \"internal_errors\": " << st.internal_errors
-         << ",\n  \"latency_ms\": {\"p50\": " << p50 << ", \"p90\": " << p90
-         << ", \"p99\": " << p99 << "},\n  \"latency_by_disposition\": {";
-    for (int c = 0; c < 5; ++c) {
-      json << (c ? ", " : "") << "\"" << kDispositions[c] << "\": ";
-      write_latency_block(json, lat_by_class[c]);
-    }
-    json << "}";
-    if (workers > 0) {
-      // The supervision scorecard for the CI chaos gates, plus the live
-      // worker_pool introspection object (per-worker handled counts give
-      // per-worker throughput against elapsed_seconds).
-      json << ",\n  \"workers\": {\"configured\": " << workers
-           << ", \"chaos_probability\": " << chaos
-           << ", \"chaos_seed\": " << chaos_seed
-           << ", \"traffic_seed\": " << seed
-           << ", \"chaotic_requests\": " << chaotic_requests
-           << ", \"dispatched\": " << st.dispatched
-           << ", \"crashes\": " << st.worker_crashes
-           << ", \"timeouts\": " << st.worker_timeouts
-           << ", \"respawns\": " << st.worker_respawns
-           << ", \"retried\": " << st.requests_retried
-           << ", \"quarantined\": " << st.quarantined
-           << ", \"quarantine_hits\": " << st.quarantine_hits
-           << ", \"breaker_opens\": " << st.breaker_opens
-           << ", \"breaker_rejected\": " << st.breaker_rejected
-           << ", \"collateral_errors\": " << collateral_errors
-           << ", \"byte_checked\": " << compared
-           << ", \"byte_mismatches\": " << byte_mismatches
-           << ", \"pool\": "
-           << extract_object(server.render_introspect(0), "worker_pool")
-           << "}";
-    }
-    json << ",\n  \"failures\": " << g_failures << "\n}\n";
+  const auto& st = server.stats();
+  util::JsonWriter w;
+  obs::write_provenance_json(w.begin_object().key("provenance"),
+                             obs::collect_provenance());
+  w.key("requests").integer(lines).key("elapsed_seconds").number(elapsed_s);
+  w.key("throughput_rps").number(throughput);
+  w.key("ok").integer(ok_lines).key("errors").integer(err_lines);
+  w.key("shed_responses").integer(shed);
+  w.key("degraded_responses").integer(degraded);
+  w.key("overload_rejected").integer(overload);
+  w.key("cache_hits").integer(cache_hits).key("accepted").integer(st.accepted);
+  w.key("parse_errors").integer(st.parse_errors);
+  w.key("bad_requests").integer(st.bad_requests);
+  w.key("solved").integer(st.solved);
+  w.key("internal_errors").integer(st.internal_errors);
+  w.key("latency_ms").begin_object().key("p50").number(p50);
+  w.key("p90").number(p90).key("p99").number(p99).end_object();
+  w.key("latency_by_disposition").begin_object();
+  for (int c = 0; c < 5; ++c)
+    write_latency_block(w.key(kDispositions[c]), lat_by_class[c]);
+  w.end_object();
+  if (workers > 0) {
+    // The supervision scorecard for the CI chaos gates, plus the live
+    // worker_pool introspection object (per-worker handled counts give
+    // per-worker throughput against elapsed_seconds).
+    w.key("workers").begin_object().key("configured").integer(workers);
+    w.key("chaos_probability").number(chaos);
+    w.key("chaos_seed").integer(chaos_seed).key("traffic_seed").integer(seed);
+    w.key("chaotic_requests").integer(chaotic_requests);
+    w.key("dispatched").integer(st.dispatched);
+    w.key("crashes").integer(st.worker_crashes);
+    w.key("timeouts").integer(st.worker_timeouts);
+    w.key("respawns").integer(st.worker_respawns);
+    w.key("retried").integer(st.requests_retried);
+    w.key("quarantined").integer(st.quarantined);
+    w.key("quarantine_hits").integer(st.quarantine_hits);
+    w.key("breaker_opens").integer(st.breaker_opens);
+    w.key("breaker_rejected").integer(st.breaker_rejected);
+    w.key("collateral_errors").integer(collateral_errors);
+    w.key("byte_checked").integer(compared);
+    w.key("byte_mismatches").integer(byte_mismatches);
+    server.write_worker_pool(w.key("pool"));
+    w.end_object();
   }
+  w.key("failures").integer(g_failures).end_object();
+  std::ofstream(out_path) << w.str() << '\n';
 
   if (g_failures > 0)
     std::fprintf(stderr, "soak: %d failed checks\n", g_failures);

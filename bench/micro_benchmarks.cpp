@@ -179,16 +179,16 @@ int main(int argc, char** argv) {
   std::ostringstream bench_json;
   bench_json << raw.rdbuf();
   std::remove(raw_path.c_str());
+  util::JsonWriter w;
+  obs::write_provenance_json(w.begin_object().key("provenance"),
+                             obs::collect_provenance());
+  w.key("benchmark").raw(bench_json.str());
+  obs::Registry::global().write_json(w.key("obs_metrics"));
   std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", out_path.c_str());
+  if (!(out << w.end_object().str() << '\n')) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
     return 1;
   }
-  out << "{\n\"provenance\": ";
-  obs::write_provenance_json(out, obs::collect_provenance());
-  out << ",\n\"benchmark\": " << bench_json.str() << ",\n\"obs_metrics\": ";
-  obs::Registry::global().write_json(out);
-  out << "\n}\n";
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -14,7 +14,6 @@
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -57,16 +56,11 @@ std::map<std::string, std::uint64_t> counter_delta(
   return d;
 }
 
-void write_phase(std::ostream& out, const Phase& p, bool last) {
-  out << "      {\"phase\": \"" << obs::json_escape(p.name)
-      << "\", \"seconds\": " << p.seconds << ", \"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : p.counters) {
-    if (!first) out << ", ";
-    first = false;
-    out << "\"" << obs::json_escape(name) << "\": " << v;
-  }
-  out << "}}" << (last ? "" : ",") << "\n";
+void write_phase(util::JsonWriter& w, const Phase& p) {
+  w.begin_object().key("phase").string(p.name);
+  w.key("seconds").number(p.seconds).key("counters").begin_object();
+  for (const auto& [name, v] : p.counters) w.key(name).integer(v);
+  w.end_object().end_object();
 }
 
 }  // namespace
@@ -127,28 +121,25 @@ int main(int argc, char** argv) {
                 reports.back().phases[2].seconds);
   }
 
+  util::JsonWriter w;
+  w.begin_object().key("tool").string("self_profile");
+  obs::write_provenance_json(w.key("provenance"), obs::collect_provenance());
+  w.key("kernels").begin_array();
+  for (const auto& rep : reports) {
+    w.begin_object().key("name").string(rep.name);
+    w.key("total_seconds").number(rep.total_seconds);
+    w.key("sw_cycles").number(rep.sw_cycles);
+    w.key("best_cycles").number(rep.best_cycles);
+    w.key("configs").integer(rep.configs).key("phases").begin_array();
+    for (const Phase& p : rep.phases) write_phase(w, p);
+    w.end_array().end_object();
+  }
+  reg.write_json(w.end_array().key("registry"));
   std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", out_path.c_str());
+  if (!(out << w.end_object().str() << '\n')) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
     return 1;
   }
-  out << "{\n  \"tool\": \"self_profile\",\n  \"provenance\": ";
-  obs::write_provenance_json(out, obs::collect_provenance());
-  out << ",\n  \"kernels\": [\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const auto& rep = reports[i];
-    out << "    {\"name\": \"" << obs::json_escape(rep.name)
-        << "\", \"total_seconds\": " << rep.total_seconds
-        << ", \"sw_cycles\": " << rep.sw_cycles
-        << ", \"best_cycles\": " << rep.best_cycles
-        << ", \"configs\": " << rep.configs << ", \"phases\": [\n";
-    for (std::size_t p = 0; p < rep.phases.size(); ++p)
-      write_phase(out, rep.phases[p], p + 1 == rep.phases.size());
-    out << "    ]}" << (i + 1 == reports.size() ? "" : ",") << "\n";
-  }
-  out << "  ],\n  \"registry\": ";
-  reg.write_json(out);
-  out << "\n}\n";
   std::printf("wrote %s (%zu kernels)\n", out_path.c_str(), reports.size());
   return reports.size() == std::size(kKernels) ? 0 : 1;
 }

@@ -67,7 +67,6 @@
 #include <sys/stat.h>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -93,6 +92,7 @@
 #include "isex/rtreconfig/algorithms.hpp"
 #include "isex/serve/server.hpp"
 #include "isex/util/file.hpp"
+#include "isex/util/json_writer.hpp"
 #include "isex/util/table.hpp"
 #include "isex/util/task_pool.hpp"
 #include "isex/workloads/tasks.hpp"
@@ -677,30 +677,25 @@ int cmd_trace(Ctx& ctx, std::vector<std::string> rest) {
   return sel.schedulable && r.all_met ? 0 : 1;
 }
 
-void write_certify_json(std::ostream& out, double u0, double frac,
-                        const std::vector<std::pair<std::string,
-                                                    certify::CertifyReport>>&
-                            rows,
-                        const certify::CertifyReport& total) {
-  auto emit_report = [&](const certify::CertifyReport& r) {
-    out << "{\"checks\": " << r.checks << ", \"violations\": [";
-    for (std::size_t i = 0; i < r.violations.size(); ++i) {
-      if (i) out << ", ";
-      out << "{\"check\": \"" << r.violations[i].check << "\", \"message\": \""
-          << r.violations[i].message << "\"}";
-    }
-    out << "]}";
-  };
-  out << "{\n  \"command\": \"certify\",\n  \"u0\": " << u0
-      << ",\n  \"budget_fraction\": " << frac << ",\n  \"stages\": {\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    out << "    \"" << rows[i].first << "\": ";
-    emit_report(rows[i].second);
-    out << (i + 1 < rows.size() ? ",\n" : "\n");
+std::string certify_json(double u0, double frac,
+                         const std::vector<std::pair<
+                             std::string, certify::CertifyReport>>& rows,
+                         const certify::CertifyReport& total) {
+  util::JsonWriter w;
+  w.begin_object().key("command").string("certify");
+  w.key("u0").number(u0).key("budget_fraction").number(frac);
+  w.key("stages").begin_object();
+  for (const auto& [stage, r] : rows) {
+    w.key(stage).begin_object().key("checks").integer(r.checks);
+    w.key("violations").begin_array();
+    for (const auto& v : r.violations)
+      w.begin_object().key("check").string(v.check).key("message").string(
+          v.message).end_object();
+    w.end_array().end_object();
   }
-  out << "  },\n  \"total_checks\": " << total.checks
-      << ",\n  \"total_violations\": " << total.violations.size()
-      << ",\n  \"ok\": " << (total.ok() ? "true" : "false") << "\n}\n";
+  w.end_object().key("total_checks").integer(total.checks);
+  w.key("total_violations").integer(total.violations.size());
+  return w.key("ok").boolean(total.ok()).end_object().take();
 }
 
 /// Re-derives and certifies every solver contract on the given benchmarks:
@@ -840,9 +835,9 @@ int cmd_certify(Ctx& ctx, std::vector<std::string> rest) {
   t.print();
   std::printf("\ncertify: %s\n", total.summary().c_str());
   if (!out_path.empty()) {
-    const bool wrote = write_file_atomic(out_path, [&](std::ostream& out) {
-      write_certify_json(out, u0, frac, rows, total);
-    });
+    const std::string json = certify_json(u0, frac, rows, total);
+    const bool wrote = write_file_atomic(
+        out_path, [&](std::ostream& out) { out << json << '\n'; });
     if (!wrote) throw std::runtime_error("cannot write '" + out_path + "'");
   }
   return total.ok() ? 0 : 4;
@@ -1154,45 +1149,35 @@ int cmd_lift(Ctx& ctx, std::vector<std::string> rest) {
   ct.print();
 
   if (!out_path.empty()) {
-    const auto esc = [](const std::string& s) {
-      std::string o;
-      for (const char c : s) {
-        if (c == '"' || c == '\\') o += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) continue;
-        o += c;
-      }
-      return o;
-    };
-    const bool ok = write_file_atomic(out_path, [&](std::ostream& out) {
-      out << "{\n  \"name\": \"" << esc(name) << "\",\n";
-      out << "  \"stats\": {\"instructions\": " << st.decoded_instructions
-          << ", \"illegal\": " << st.illegal_instructions
-          << ", \"blocks\": " << st.blocks << ", \"nodes\": " << st.nodes
-          << ", \"operations\": " << st.operations << "},\n";
-      out << "  \"blocks\": [\n";
-      for (int b = 0; b < prog.num_blocks(); ++b) {
-        const auto& blk = prog.block(b);
-        out << "    {\"label\": \"" << esc(blk.label) << "\", \"dfg\": [";
-        for (int i = 0; i < blk.dfg.num_nodes(); ++i) {
-          const ir::Node& nd = blk.dfg.node(i);
-          if (i > 0) out << ", ";
-          out << "{\"op\": \"" << ir::opcode_name(nd.op) << "\"";
-          if (!nd.operands.empty()) {
-            out << ", \"in\": [";
-            for (std::size_t j = 0; j < nd.operands.size(); ++j)
-              out << (j > 0 ? ", " : "") << nd.operands[j];
-            out << "]";
-          }
-          out << ", \"out\": " << (nd.live_out ? "true" : "false") << "}";
+    util::JsonWriter w;
+    w.begin_object().key("name").string(name);
+    w.key("stats").begin_object();
+    w.key("instructions").integer(st.decoded_instructions);
+    w.key("illegal").integer(st.illegal_instructions);
+    w.key("blocks").integer(st.blocks).key("nodes").integer(st.nodes);
+    w.key("operations").integer(st.operations).end_object();
+    w.key("blocks").begin_array();
+    for (int b = 0; b < prog.num_blocks(); ++b) {
+      const auto& blk = prog.block(b);
+      w.begin_object().key("label").string(blk.label).key("dfg").begin_array();
+      for (int i = 0; i < blk.dfg.num_nodes(); ++i) {
+        const ir::Node& nd = blk.dfg.node(i);
+        w.begin_object().key("op").string(ir::opcode_name(nd.op));
+        if (!nd.operands.empty()) {
+          w.key("in").begin_array();
+          for (const ir::NodeId o : nd.operands) w.integer(o);
+          w.end_array();
         }
-        out << "]}" << (b + 1 < prog.num_blocks() ? "," : "") << "\n";
+        w.key("out").boolean(nd.live_out).end_object();
       }
-      out << "  ],\n  \"curve\": [";
-      for (std::size_t i = 0; i < curve.points.size(); ++i)
-        out << (i > 0 ? ", " : "") << "[" << curve.points[i].area << ", "
-            << curve.points[i].cycles << "]";
-      out << "]\n}\n";
-    });
+      w.end_array().end_object();
+    }
+    w.end_array().key("curve").begin_array();
+    for (const auto& p : curve.points)
+      w.begin_array().number(p.area).number(p.cycles).end_array();
+    w.end_array().end_object();
+    const bool ok = write_file_atomic(
+        out_path, [&](std::ostream& out) { out << w.str() << '\n'; });
     if (!ok) {
       std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
       return 2;
@@ -1448,15 +1433,14 @@ int run(const std::vector<std::string>& raw_args) {
   // rather than a silent stderr note.
   const auto dump_metrics = [&]() -> bool {
     if (!metrics) return true;
+    util::JsonWriter w;
+    obs::Registry::global().write_json(w);
     if (metrics_path.empty()) {
-      std::ostringstream os;
-      obs::Registry::global().write_json(os);
-      std::fprintf(stderr, "%s\n", os.str().c_str());
+      std::fprintf(stderr, "%s\n", w.str().c_str());
       return true;
     }
-    if (!write_file_atomic(metrics_path, [](std::ostream& out) {
-          obs::Registry::global().write_json(out);
-        })) {
+    if (!write_file_atomic(metrics_path,
+                           [&](std::ostream& out) { out << w.str() << '\n'; })) {
       std::fprintf(stderr, "error: cannot write '%s'\n", metrics_path.c_str());
       return false;
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdio>
 #include <ostream>
 
 namespace isex::obs {
@@ -171,59 +170,23 @@ double histogram_quantile(const Registry::HistogramSnapshot& h, double q) {
   return static_cast<double>(h.max);
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-void Registry::write_json(std::ostream& out) const {
+void Registry::write_json(util::JsonWriter& w) const {
   const Snapshot s = snapshot();
-  out << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : s.counters) {
-    out << (first ? "" : ",") << "\n    \"" << json_escape(name) << "\": " << v;
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : s.gauges) {
-    out << (first ? "" : ",") << "\n    \"" << json_escape(name) << "\": " << v;
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, v] : s.counters) w.key(name).integer(v);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, v] : s.gauges) w.key(name).number(v);
+  w.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : s.histograms) {
-    out << (first ? "" : ",") << "\n    \"" << json_escape(name)
-        << "\": {\"count\": " << h.count << ", \"sum\": " << h.sum
-        << ", \"min\": " << h.min << ", \"max\": " << h.max
-        << ", \"buckets\": [";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      out << (i ? ", " : "") << "{\"le\": " << h.buckets[i].upper_bound
-          << ", \"count\": " << h.buckets[i].count << "}";
-    }
-    out << "]}";
-    first = false;
+    w.key(name).begin_object().key("count").integer(h.count);
+    w.key("sum").integer(h.sum).key("min").integer(h.min);
+    w.key("max").integer(h.max).key("buckets").begin_array();
+    for (const Histogram::Bucket& b : h.buckets)
+      w.begin_object().key("le").integer(b.upper_bound).key("count").integer(
+          b.count).end_object();
+    w.end_array().end_object();
   }
-  out << (first ? "" : "\n  ") << "}\n}\n";
+  w.end_object().end_object();
 }
 
 void Registry::write_csv(std::ostream& out) const {

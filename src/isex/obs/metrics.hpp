@@ -24,6 +24,8 @@
 #include <string_view>
 #include <vector>
 
+#include "isex/util/json_writer.hpp"
+
 namespace isex::obs {
 
 /// Monotonically increasing event count. Padded so two counters never share a
@@ -120,7 +122,7 @@ class Registry {
   Snapshot snapshot() const;
 
   /// {"counters":{...},"gauges":{...},"histograms":{...}} — stable key order.
-  void write_json(std::ostream& out) const;
+  void write_json(util::JsonWriter& w) const;
   /// Flat `kind,name,value` CSV (histograms expand one row per statistic).
   void write_csv(std::ostream& out) const;
 
@@ -130,9 +132,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
-
-/// Escapes a string for embedding in a JSON string literal (no quotes added).
-std::string json_escape(std::string_view s);
 
 /// Estimates the q-quantile (q in [0,1]) of a histogram snapshot by linear
 /// interpolation inside the winning bucket, clamped to the recorded

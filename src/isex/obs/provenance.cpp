@@ -3,10 +3,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <ostream>
 #include <thread>
-
-#include "isex/obs/metrics.hpp"
 
 #ifndef ISEX_BUILD_TYPE
 #define ISEX_BUILD_TYPE "unknown"
@@ -37,12 +34,12 @@ Provenance collect_provenance() {
   return p;
 }
 
-void write_provenance_json(std::ostream& out, const Provenance& p) {
-  out << "{\"build_type\": \"" << json_escape(p.build_type)
-      << "\", \"git_sha\": \"" << json_escape(p.git_sha)
-      << "\", \"load_avg_1m\": " << p.load_avg_1m
-      << ", \"num_cpus\": " << p.num_cpus << ", \"hostname\": \""
-      << json_escape(p.hostname) << "\"}";
+void write_provenance_json(util::JsonWriter& w, const Provenance& p) {
+  w.begin_object().key("build_type").string(p.build_type);
+  w.key("git_sha").string(p.git_sha);
+  w.key("load_avg_1m").number(p.load_avg_1m);
+  w.key("num_cpus").integer(p.num_cpus);
+  w.key("hostname").string(p.hostname).end_object();
 }
 
 }  // namespace isex::obs

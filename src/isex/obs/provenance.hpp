@@ -8,8 +8,9 @@
 // silently compared as if it meant something.
 #pragma once
 
-#include <iosfwd>
 #include <string>
+
+#include "isex/util/json_writer.hpp"
 
 namespace isex::obs {
 
@@ -25,8 +26,8 @@ struct Provenance {
 /// Captures provenance for the current process/build.
 Provenance collect_provenance();
 
-/// Writes `{"build_type": ..., "git_sha": ..., "load_avg_1m": ...,
-/// "num_cpus": ..., "hostname": ...}` (one line, no trailing newline).
-void write_provenance_json(std::ostream& out, const Provenance& p);
+/// Writes `{"build_type":..,"git_sha":..,"load_avg_1m":..,"num_cpus":..,
+/// "hostname":..}`.
+void write_provenance_json(util::JsonWriter& w, const Provenance& p);
 
 }  // namespace isex::obs

@@ -2,9 +2,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <optional>
 #include <ostream>
 
+#include "isex/util/json_writer.hpp"
 #include "isex/util/table.hpp"
 
 namespace isex::obs {
@@ -81,71 +82,59 @@ namespace {
 
 /// Chrome trace timestamps are microseconds. Wall events carry ns (exported
 /// with fractional-us precision); sim events carry cycles mapped 1:1 to us.
-void write_ts(std::ostream& out, int pid, std::int64_t v) {
-  if (pid == kSimPid) {
-    out << v;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld.%03lld",
-                  static_cast<long long>(v / 1000),
-                  static_cast<long long>(v % 1000));
-    out << buf;
-  }
+void write_ts(util::JsonWriter& w, int pid, std::int64_t v) {
+  if (pid == kSimPid)
+    w.integer(v);
+  else
+    w.number(static_cast<double>(v) / 1e3, 3);
 }
 
-void write_args_json(std::ostream& out,
-                     const std::vector<std::pair<std::string, std::string>>&
-                         args) {
-  out << "{";
-  for (std::size_t i = 0; i < args.size(); ++i)
-    out << (i ? ", " : "") << "\"" << json_escape(args[i].first) << "\": \""
-        << json_escape(args[i].second) << "\"";
-  out << "}";
+/// A metadata record naming a process (no tid) or one of its threads.
+void write_name(util::JsonWriter& w, int pid, std::optional<int> tid,
+                std::string_view name) {
+  w.begin_object().key("ph").string("M");
+  w.key("name").string(tid ? "thread_name" : "process_name");
+  w.key("pid").integer(pid);
+  if (tid) w.key("tid").integer(*tid);
+  w.key("args").begin_object().key("name").string(name);
+  w.end_object().end_object();
 }
 
 }  // namespace
 
 void TraceBuffer::write_chrome_json(std::ostream& out) const {
   std::scoped_lock lock(mu_);
-  out << "{\"traceEvents\": [\n";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) out << ",\n";
-    first = false;
-  };
-  sep();
-  out << "  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << kWallPid
-      << ", \"args\": {\"name\": \"isex wall clock\"}}";
-  sep();
-  out << "  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << kSimPid
-      << ", \"args\": {\"name\": \"rt virtual time (1 cycle = 1us)\"}}";
-  for (const auto& [key, name] : thread_names_) {
-    sep();
-    out << "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": "
-        << key.first << ", \"tid\": " << key.second
-        << ", \"args\": {\"name\": \"" << json_escape(name) << "\"}}";
-  }
+  util::JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
+  write_name(w, kWallPid, std::nullopt, "isex wall clock");
+  write_name(w, kSimPid, std::nullopt, "rt virtual time (1 cycle = 1us)");
+  for (const auto& [key, name] : thread_names_)
+    write_name(w, key.first, key.second, name);
   for (const TraceEvent& e : events_) {
-    sep();
     const char* ph = e.phase == TraceEvent::Phase::kComplete ? "X"
                      : e.phase == TraceEvent::Phase::kInstant ? "i"
                                                               : "C";
-    out << "  {\"ph\": \"" << ph << "\", \"name\": \"" << json_escape(e.name)
-        << "\", \"cat\": \"" << json_escape(e.cat) << "\", \"pid\": " << e.pid
-        << ", \"tid\": " << e.tid << ", \"ts\": ";
-    write_ts(out, e.pid, e.ts);
-    if (e.phase == TraceEvent::Phase::kComplete) {
-      out << ", \"dur\": ";
-      write_ts(out, e.pid, e.dur);
-    }
-    if (e.phase == TraceEvent::Phase::kInstant) out << ", \"s\": \"t\"";
+    w.begin_object().key("ph").string(ph).key("name").string(e.name);
+    w.key("cat").string(e.cat).key("pid").integer(e.pid);
+    w.key("tid").integer(e.tid);
+    write_ts(w.key("ts"), e.pid, e.ts);
+    if (e.phase == TraceEvent::Phase::kComplete)
+      write_ts(w.key("dur"), e.pid, e.dur);
+    if (e.phase == TraceEvent::Phase::kInstant) w.key("s").string("t");
     if (!e.args.empty()) {
-      out << ", \"args\": ";
-      write_args_json(out, e.args);
+      w.key("args").begin_object();
+      for (const auto& [k, v] : e.args) w.key(k).string(v);
+      w.end_object();
     }
-    out << "}";
+    w.end_object();
+    // Stream in pieces: a full buffer holds a million events.
+    if (w.str().size() >= (std::size_t{1} << 16)) {
+      out << w.str();
+      w.clear_text();
+    }
   }
-  out << "\n]}\n";
+  w.end_array().end_object();
+  out << w.str() << '\n';
 }
 
 void TraceBuffer::write_csv(std::ostream& out) const {

@@ -1,10 +1,10 @@
 #include "isex/serve/json.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "isex/obs/metrics.hpp"
+#include "isex/util/json_writer.hpp"
 
 namespace isex::serve {
 
@@ -394,60 +394,7 @@ JsonParseResult json_parse(std::string_view text, const JsonLimits& limits) {
 }
 
 std::string json_quote(std::string_view s) {
-  // Escapes controls and quotes, and sanitizes the bytes: any sequence that
-  // is not well-formed UTF-8 becomes U+FFFD. Renderings routinely echo
-  // attacker-supplied request bytes (ids, messages); sanitizing here
-  // guarantees the server's own output always re-parses under the same
-  // strict parser clients use, no matter what arrived on the wire.
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  std::size_t i = 0;
-  while (i < s.size()) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c == '"') {
-      out += "\\\"";
-      ++i;
-    } else if (c == '\\') {
-      out += "\\\\";
-      ++i;
-    } else if (c < 0x20) {
-      switch (c) {
-        case '\b': out += "\\b"; break;
-        case '\f': out += "\\f"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default: {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        }
-      }
-      ++i;
-    } else if (c < 0x80) {
-      out += static_cast<char>(c);
-      ++i;
-    } else if (const std::size_t len = valid_utf8_len(s, i); len > 0) {
-      out.append(s.substr(i, len));
-      i += len;
-    } else {
-      out += "\xEF\xBF\xBD";  // U+FFFD replacement character
-      ++i;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 9.007199254740992e15)
-    return std::to_string(static_cast<long long>(v));
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  return util::JsonWriter().string(s).take();
 }
 
 }  // namespace isex::serve

@@ -1,4 +1,5 @@
-// isex::serve — strict, resource-bounded JSON for the request protocol.
+// isex::serve — strict, resource-bounded JSON parsing for the request
+// protocol.
 //
 // The daemon's first line of defense: every byte stream a client sends is
 // decoded by this parser before anything else looks at it. The contract is
@@ -9,10 +10,10 @@
 // byte offset. Malformed input is the *expected* case for a server, so the
 // error path is a value, not an exception.
 //
-// This is deliberately a second, independent JSON implementation: the obs/
-// exporters only *write* JSON; nothing in the solver stack ever parses it,
-// so a parser bug cannot corrupt solver state and a solver bug cannot leak
-// into the wire format.
+// Writing JSON is util::JsonWriter's job, and the parser shares no code with
+// it: the parser is the writer's independent test oracle (every document the
+// program emits must parse back here), so a writer bug cannot hide behind a
+// matching parser bug.
 #pragma once
 
 #include <cstddef>
@@ -88,12 +89,8 @@ struct JsonParseResult {
 /// surrogate pairs validated. Numbers that overflow double are rejected.
 JsonParseResult json_parse(std::string_view text, const JsonLimits& limits = {});
 
-/// `s` as a quoted JSON string literal (escaping via obs::json_escape).
+/// `s` as a quoted JSON string (util::JsonWriter::string). Kept for the
+/// end-to-end benchmark's trace replay, which renders its op list with it.
 std::string json_quote(std::string_view s);
-
-/// Shortest round-trip-safe rendering: integral values in the exact-int53
-/// range print without a fraction; non-finite values (which the protocol
-/// never produces) degrade to null rather than emitting invalid JSON.
-std::string json_number(double v);
 
 }  // namespace isex::serve

@@ -115,13 +115,15 @@ void Server::classify(InflightEntry& ent) {
   if (pool_->is_quarantined(ent.line_hash)) {
     ++stats_.quarantine_hits;
     ISEX_COUNT("serve.quarantine_hits");
+    const int kills = opts_.poison_kill_threshold;
     finish(ent,
-           render_error_extra(
-               ent.id, ErrorCode::kQuarantined,
-               "request content quarantined after killing " +
-                   std::to_string(opts_.poison_kill_threshold) + " workers",
-               "\"kills\":" + std::to_string(opts_.poison_kill_threshold),
-               -1, ent.rid),
+           render_error(ent.id, ErrorCode::kQuarantined,
+                        "request content quarantined after killing " +
+                            std::to_string(kills) + " workers",
+                        -1, ent.rid,
+                        [&](util::JsonWriter& w) {
+                          w.key("kills").integer(kills);
+                        }),
            obs::Disposition::kError, false);
     return;
   }
@@ -238,21 +240,20 @@ void Server::handle_death(InflightEntry& ent, const supervise::PoolEvent& ev,
     ++stats_.quarantined;
     ISEX_COUNT("serve.quarantined");
   }
-  std::string extra = "\"signal\":" + std::to_string(ev.signal) +
-                      ",\"worker\":" + std::to_string(ev.worker) +
-                      ",\"kills\":" + std::to_string(kills);
-  if (!opts_.crash_dump_path.empty() && signal_writes_crash_dump(ev.signal)) {
-    extra += ",\"crash_dump\":" +
-             json_quote(opts_.crash_dump_path + "." +
-                        std::to_string(static_cast<long>(ev.pid)));
-  }
+  const ErrorFields extra = [&](util::JsonWriter& w) {
+    w.key("signal").integer(ev.signal).key("worker").integer(ev.worker);
+    w.key("kills").integer(kills);
+    if (!opts_.crash_dump_path.empty() && signal_writes_crash_dump(ev.signal))
+      w.key("crash_dump").string(opts_.crash_dump_path + "." +
+                                 std::to_string(static_cast<long>(ev.pid)));
+  };
   if (ev.watchdog) {
     finish(ent,
-           render_error_extra(ent.id, ErrorCode::kWorkerTimeout,
-                              "solve exceeded its watchdog deadline (" +
-                                  std::to_string(ent.watchdog_seconds) +
-                                  "s + grace); worker killed",
-                              extra, -1, ent.rid),
+           render_error(ent.id, ErrorCode::kWorkerTimeout,
+                        "solve exceeded its watchdog deadline (" +
+                            std::to_string(ent.watchdog_seconds) +
+                            "s + grace); worker killed",
+                        -1, ent.rid, extra),
            obs::Disposition::kError, false);
     return;
   }
@@ -266,7 +267,7 @@ void Server::handle_death(InflightEntry& ent, const supervise::PoolEvent& ev,
     return;
   }
   finish(ent,
-         render_error_extra(
+         render_error(
              ent.id, ErrorCode::kWorkerCrashed,
              "worker pid " + std::to_string(static_cast<long>(ev.pid)) +
                  (ev.signal != 0
@@ -275,7 +276,7 @@ void Server::handle_death(InflightEntry& ent, const supervise::PoolEvent& ev,
                             std::to_string(ev.exit_status)) +
                  " while solving this request" +
                  (quarantined_now ? "; content quarantined" : ""),
-             extra, -1, ent.rid),
+             -1, ent.rid, extra),
          obs::Disposition::kError, false);
 }
 

@@ -333,92 +333,82 @@ DecodeResult decode_request(std::string_view line,
   return req;
 }
 
-std::string render_id(const std::string& id) {
-  return id.empty() ? "null" : json_quote(id);
+namespace {
+
+/// The envelope's leading members: the request id (null when the request
+/// carried none) and the flight-recorder rid when one was assigned.
+void write_ids(util::JsonWriter& w, const std::string& id, std::uint64_t rid) {
+  w.key("id");
+  if (id.empty())
+    w.null();
+  else
+    w.string(id);
+  if (rid != 0) w.key("rid").integer(rid);
 }
+
+}  // namespace
 
 std::string render_error(const std::string& id, ErrorCode code,
                          const std::string& message, long retry_after_ms,
-                         std::uint64_t rid) {
-  return render_error_extra(id, code, message, "", retry_after_ms, rid);
-}
-
-std::string render_error_extra(const std::string& id, ErrorCode code,
-                               const std::string& message,
-                               const std::string& extra_fields,
-                               long retry_after_ms, std::uint64_t rid) {
+                         std::uint64_t rid, const ErrorFields& extra) {
   ISEX_COUNT("serve.responses.errors");
-  std::string out = "{\"id\":" + render_id(id);
-  if (rid != 0) out += ",\"rid\":" + std::to_string(rid);
-  out += ",\"ok\":false,\"error\":{\"code\":\"" +
-         std::string(to_string(code)) +
-         "\",\"message\":" + json_quote(message);
-  if (!extra_fields.empty()) out += "," + extra_fields;
-  out += "}";
-  if (retry_after_ms >= 0)
-    out += ",\"retry_after_ms\":" + std::to_string(retry_after_ms);
-  out += "}";
-  return out;
+  util::JsonWriter w;
+  w.begin_object();
+  write_ids(w, id, rid);
+  w.key("ok").boolean(false).key("error").begin_object();
+  w.key("code").string(to_string(code)).key("message").string(message);
+  if (extra) extra(w);
+  w.end_object();
+  if (retry_after_ms >= 0) w.key("retry_after_ms").integer(retry_after_ms);
+  return w.end_object().take();
 }
 
 std::string render_select_result(
     const rt::TaskSet& ts, double area_budget, rt::Policy policy,
     const robust::Outcome<customize::SelectionResult>& out, int shed_rung) {
   const customize::SelectionResult& r = out.value;
-  std::string s = "{\"cmd\":\"select\",\"policy\":\"";
-  s += policy == rt::Policy::kRms ? "rms" : "edf";
-  s += "\",\"status\":\"";
-  s += robust::to_string(out.status);
-  s += "\",\"schedulable\":";
-  s += r.schedulable ? "true" : "false";
-  s += ",\"utilization\":" + json_number(r.utilization);
-  s += ",\"area_used\":" + json_number(r.area_used);
-  s += ",\"area_budget\":" + json_number(area_budget);
-  s += ",\"gap\":" + json_number(out.optimality_gap);
-  s += ",\"shed_rung\":" + std::to_string(shed_rung);
-  s += ",\"detail\":" + json_quote(out.detail);
-  s += ",\"tasks\":[";
+  util::JsonWriter w;
+  w.begin_object().key("cmd").string("select");
+  w.key("policy").string(policy == rt::Policy::kRms ? "rms" : "edf");
+  w.key("status").string(robust::to_string(out.status));
+  w.key("schedulable").boolean(r.schedulable);
+  w.key("utilization").number(r.utilization);
+  w.key("area_used").number(r.area_used);
+  w.key("area_budget").number(area_budget);
+  w.key("gap").number(out.optimality_gap);
+  w.key("shed_rung").integer(shed_rung);
+  w.key("detail").string(out.detail);
+  w.key("tasks").begin_array();
   for (std::size_t i = 0; i < ts.size(); ++i) {
     const rt::Task& t = ts.tasks[i];
     const int cfg = i < r.assignment.size() ? r.assignment[i] : 0;
     const auto& c = t.configs[static_cast<std::size_t>(cfg)];
-    if (i) s += ",";
-    s += "{\"name\":" + json_quote(t.name) +
-         ",\"period\":" + json_number(t.period) +
-         ",\"config\":" + std::to_string(cfg) +
-         ",\"area\":" + json_number(c.area) +
-         ",\"cycles\":" + json_number(c.cycles) + "}";
+    w.begin_object().key("name").string(t.name);
+    w.key("period").number(t.period).key("config").integer(cfg);
+    w.key("area").number(c.area).key("cycles").number(c.cycles).end_object();
   }
-  s += "],\"certificate\":{\"ok\":";
-  s += out.certificate.ok() ? "true" : "false";
-  s += ",\"checks\":" + std::to_string(out.certificate.checks) +
-       ",\"violations\":[";
-  for (std::size_t i = 0; i < out.certificate.violations.size(); ++i) {
-    const auto& v = out.certificate.violations[i];
-    if (i) s += ",";
-    s += "{\"check\":" + json_quote(v.check) +
-         ",\"message\":" + json_quote(v.message) + "}";
-  }
-  s += "]}}";
-  return s;
+  w.end_array().key("certificate").begin_object();
+  w.key("ok").boolean(out.certificate.ok());
+  w.key("checks").integer(out.certificate.checks);
+  w.key("violations").begin_array();
+  for (const auto& v : out.certificate.violations)
+    w.begin_object().key("check").string(v.check).key("message").string(
+        v.message).end_object();
+  return w.end_array().end_object().end_object().take();
 }
 
 std::string render_success(const std::string& id, const std::string& result,
                            bool cache_hit, int queue_depth, double elapsed_ms,
                            long nodes_charged, std::uint64_t rid) {
   ISEX_COUNT("serve.responses.ok");
-  std::string out = "{\"id\":" + render_id(id);
-  if (rid != 0) out += ",\"rid\":" + std::to_string(rid);
-  out += ",\"ok\":true,\"cache\":\"";
-  out += cache_hit ? "hit" : "miss";
-  out += "\",\"queue_depth\":" + std::to_string(queue_depth);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", elapsed_ms);
-  out += ",\"elapsed_ms\":";
-  out += buf;
-  out += ",\"nodes\":" + std::to_string(nodes_charged);
-  out += ",\"result\":" + result + "}";
-  return out;
+  util::JsonWriter w;
+  w.begin_object();
+  write_ids(w, id, rid);
+  w.key("ok").boolean(true).key("cache").string(cache_hit ? "hit" : "miss");
+  w.key("queue_depth").integer(queue_depth);
+  w.key("elapsed_ms").number(elapsed_ms, 3);
+  w.key("nodes").integer(nodes_charged);
+  return w.key("result").raw(result).end_object().take();
 }
 
 }  // namespace isex::serve

@@ -43,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -53,6 +54,7 @@
 #include "isex/rt/simulator.hpp"
 #include "isex/rt/task.hpp"
 #include "isex/serve/json.hpp"
+#include "isex/util/json_writer.hpp"
 
 namespace isex::serve {
 
@@ -134,8 +136,9 @@ using DecodeResult = std::variant<Request, DecodeError>;
 /// Total function from request bytes to Request-or-error. Never throws.
 DecodeResult decode_request(std::string_view line, const RequestLimits& limits);
 
-/// `id` rendered as a JSON value ("..." or null) for response assembly.
-std::string render_id(const std::string& id);
+/// Extra members appended to a failure's error object (the worker-pool
+/// failures carry the signal, worker index, kill count and crash dump path).
+using ErrorFields = std::function<void(util::JsonWriter&)>;
 
 /// One failure response line (no trailing newline).
 /// retry_after_ms >= 0 adds the overload retry hint; rid != 0 adds the
@@ -143,16 +146,7 @@ std::string render_id(const std::string& id);
 /// flight-recorder records (`isex tail --rid N`).
 std::string render_error(const std::string& id, ErrorCode code,
                          const std::string& message, long retry_after_ms = -1,
-                         std::uint64_t rid = 0);
-
-/// render_error with extra pre-rendered JSON fields spliced into the error
-/// object (e.g. `"signal":9,"crash_dump":"/tmp/d.1234"`). `extra_fields`
-/// must be valid JSON members without the surrounding braces; empty adds
-/// nothing. The worker-pool failure responses use this to stay structured.
-std::string render_error_extra(const std::string& id, ErrorCode code,
-                               const std::string& message,
-                               const std::string& extra_fields,
-                               long retry_after_ms = -1, std::uint64_t rid = 0);
+                         std::uint64_t rid = 0, const ErrorFields& extra = {});
 
 /// The stable `result` object of a successful select response: everything
 /// deterministic under a node-budget — status, claims, assignment,

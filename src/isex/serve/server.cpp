@@ -15,8 +15,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <sstream>
-
 #include "isex/certify/schedule.hpp"
 #include "isex/hw/cell_library.hpp"
 #include "isex/obs/journal.hpp"
@@ -118,7 +116,7 @@ BuiltTaskSet build_taskset(const Request& req, robust::Budget* budget) {
 /// one latency histogram (microseconds). Percentiles come from the pow2
 /// buckets via obs::histogram_quantile — bucket-resolution estimates, which
 /// is what an operator dashboard needs.
-std::string latency_stats_json(const obs::Histogram& h) {
+void write_latency_stats(util::JsonWriter& w, const obs::Histogram& h) {
   obs::Registry::HistogramSnapshot s;
   s.count = h.count();
   s.sum = h.sum();
@@ -127,14 +125,11 @@ std::string latency_stats_json(const obs::Histogram& h) {
   s.buckets = h.buckets();
   const double mean =
       s.count ? static_cast<double>(s.sum) / static_cast<double>(s.count) : 0;
-  std::string r = "{\"count\":" + std::to_string(s.count);
-  r += ",\"mean\":" + json_number(mean);
-  r += ",\"min\":" + std::to_string(s.min);
-  r += ",\"max\":" + std::to_string(s.max);
-  r += ",\"p50\":" + json_number(obs::histogram_quantile(s, 0.50));
-  r += ",\"p95\":" + json_number(obs::histogram_quantile(s, 0.95));
-  r += ",\"p99\":" + json_number(obs::histogram_quantile(s, 0.99)) + "}";
-  return r;
+  w.begin_object().key("count").integer(s.count).key("mean").number(mean);
+  w.key("min").integer(s.min).key("max").integer(s.max);
+  w.key("p50").number(obs::histogram_quantile(s, 0.50));
+  w.key("p95").number(obs::histogram_quantile(s, 0.95));
+  w.key("p99").number(obs::histogram_quantile(s, 0.99)).end_object();
 }
 
 }  // namespace
@@ -192,57 +187,48 @@ std::string Server::extract_id(std::string_view line) const {
 }
 
 std::string Server::render_stats(int queue_depth) const {
-  std::string r = "{\"cmd\":\"stats\"";
-  r += ",\"queue_depth\":" + std::to_string(queue_depth);
-  r += ",\"lines_in\":" + std::to_string(stats_.lines_in);
-  r += ",\"accepted\":" + std::to_string(stats_.accepted);
-  r += ",\"rejected_overload\":" + std::to_string(stats_.rejected_overload);
-  r += ",\"rejected_too_large\":" + std::to_string(stats_.rejected_too_large);
-  r += ",\"parse_errors\":" + std::to_string(stats_.parse_errors);
-  r += ",\"bad_requests\":" + std::to_string(stats_.bad_requests);
-  r += ",\"solved\":" + std::to_string(stats_.solved);
-  r += ",\"shed_demotions\":" + std::to_string(stats_.shed_demotions);
-  r += ",\"degraded\":" + std::to_string(stats_.degraded);
-  r += ",\"internal_errors\":" + std::to_string(stats_.internal_errors);
-  r += ",\"cache\":{\"entries\":" + std::to_string(cache_.entries());
-  r += ",\"bytes\":" + std::to_string(cache_.bytes());
-  r += ",\"hits\":" + std::to_string(cache_.hits());
-  r += ",\"misses\":" + std::to_string(cache_.misses());
-  r += ",\"evictions\":" + std::to_string(cache_.evictions());
-  r += ",\"poisoned\":" + std::to_string(cache_.poisoned()) + "}";
+  util::JsonWriter w;
+  w.begin_object().key("cmd").string("stats");
+  w.key("queue_depth").integer(queue_depth);
+  w.key("lines_in").integer(stats_.lines_in);
+  w.key("accepted").integer(stats_.accepted);
+  w.key("rejected_overload").integer(stats_.rejected_overload);
+  w.key("rejected_too_large").integer(stats_.rejected_too_large);
+  w.key("parse_errors").integer(stats_.parse_errors);
+  w.key("bad_requests").integer(stats_.bad_requests);
+  w.key("solved").integer(stats_.solved);
+  w.key("shed_demotions").integer(stats_.shed_demotions);
+  w.key("degraded").integer(stats_.degraded);
+  w.key("internal_errors").integer(stats_.internal_errors);
+  w.key("cache").begin_object().key("entries").integer(cache_.entries());
+  w.key("bytes").integer(cache_.bytes());
+  w.key("hits").integer(cache_.hits());
+  w.key("misses").integer(cache_.misses());
+  w.key("evictions").integer(cache_.evictions());
+  w.key("poisoned").integer(cache_.poisoned()).end_object();
   // Worker-pool counters are always present (all zero with --workers 0) so
   // dashboards never branch on field existence.
-  r += ",\"workers\":{\"configured\":" + std::to_string(opts_.workers);
-  r += ",\"live\":" + std::to_string(pool_ ? pool_->live_workers() : 0);
-  r += ",\"dispatched\":" + std::to_string(stats_.dispatched);
-  r += ",\"crashes\":" + std::to_string(stats_.worker_crashes);
-  r += ",\"timeouts\":" + std::to_string(stats_.worker_timeouts);
-  r += ",\"respawns\":" + std::to_string(stats_.worker_respawns);
-  r += ",\"retried\":" + std::to_string(stats_.requests_retried);
-  r += ",\"quarantined\":" + std::to_string(stats_.quarantined);
-  r += ",\"quarantine_hits\":" + std::to_string(stats_.quarantine_hits);
-  r += ",\"breaker_opens\":" + std::to_string(stats_.breaker_opens);
-  r += ",\"breaker_rejected\":" + std::to_string(stats_.breaker_rejected);
-  r += "}";
-  r += ",\"shed\":{\"shed1_depth\":" + std::to_string(opts_.shed1_depth);
-  r += ",\"shed2_depth\":" + std::to_string(opts_.shed2_depth);
-  r += ",\"current_rung\":" + std::to_string(shed_rung_for_depth(queue_depth));
-  r += "}";
-  r += ",\"latency_us\":{";
+  w.key("workers").begin_object().key("configured").integer(opts_.workers);
+  w.key("live").integer(pool_ ? pool_->live_workers() : 0);
+  w.key("dispatched").integer(stats_.dispatched);
+  w.key("crashes").integer(stats_.worker_crashes);
+  w.key("timeouts").integer(stats_.worker_timeouts);
+  w.key("respawns").integer(stats_.worker_respawns);
+  w.key("retried").integer(stats_.requests_retried);
+  w.key("quarantined").integer(stats_.quarantined);
+  w.key("quarantine_hits").integer(stats_.quarantine_hits);
+  w.key("breaker_opens").integer(stats_.breaker_opens);
+  w.key("breaker_rejected").integer(stats_.breaker_rejected).end_object();
+  w.key("shed").begin_object().key("shed1_depth").integer(opts_.shed1_depth);
+  w.key("shed2_depth").integer(opts_.shed2_depth);
+  w.key("current_rung").integer(shed_rung_for_depth(queue_depth));
+  w.end_object().key("latency_us").begin_object();
   const std::pair<const char*, const obs::Histogram*> lats[] = {
       {"total", &lat_total_},     {"exact", &lat_exact_},
       {"degraded", &lat_degraded_}, {"shed", &lat_shed_},
       {"cached", &lat_cached_},   {"error", &lat_error_}};
-  bool first_lat = true;
-  for (const auto& [name, h] : lats) {
-    r += first_lat ? "\"" : ",\"";
-    first_lat = false;
-    r += name;
-    r += "\":";
-    r += latency_stats_json(*h);
-  }
-  r += "}}";
-  return r;
+  for (const auto& [name, h] : lats) write_latency_stats(w.key(name), *h);
+  return w.end_object().end_object().take();
 }
 
 std::string Server::render_introspect(int queue_depth) const {
@@ -251,42 +237,36 @@ std::string Server::render_introspect(int queue_depth) const {
   // the observability subsystem itself, so this section legitimately
   // reflects what was compiled in), flight-recorder state, and the
   // effective options.
-  std::string r = "{\"cmd\":\"introspect\",\"stats\":";
-  r += render_stats(queue_depth);
+  util::JsonWriter w;
+  w.begin_object().key("cmd").string("introspect");
+  w.key("stats").raw(render_stats(queue_depth));
   const obs::Journal& j = obs::Journal::global();
-  r += ",\"journal\":{\"head\":" + std::to_string(j.head());
-  r += ",\"capacity\":" + std::to_string(j.capacity());
-  r += ",\"enabled\":";
-  r += j.enabled() ? "true" : "false";
-  r += ",\"next_rid\":" + std::to_string(next_rid_) + "}";
-  r += ",\"options\":{\"queue_capacity\":" + std::to_string(opts_.queue_capacity);
-  r += ",\"shed1_depth\":" + std::to_string(opts_.shed1_depth);
-  r += ",\"shed2_depth\":" + std::to_string(opts_.shed2_depth);
-  r += ",\"default_time_budget_seconds\":" +
-       std::to_string(opts_.default_time_budget_seconds);
-  r += ",\"default_node_budget\":" + std::to_string(opts_.default_node_budget);
-  r += ",\"default_mem_budget_bytes\":" +
-       std::to_string(opts_.default_mem_budget_bytes);
-  r += ",\"paranoid\":";
-  r += opts_.paranoid ? "true" : "false";
-  r += ",\"max_request_bytes\":" +
-       std::to_string(opts_.limits.max_request_bytes);
-  r += ",\"workers\":" + std::to_string(opts_.workers);
-  r += ",\"chaos_probability\":" + json_number(opts_.chaos_probability) + "}";
-  // Live per-worker detail (pid, state, handled/crash counts) plus breaker
-  // and quarantine state; null when the pool has not started.
-  r += ",\"worker_pool\":";
-  r += pool_ ? pool_->render_json(obs::clock_ns()) : std::string("null");
-  std::ostringstream metrics;
-  obs::Registry::global().write_json(metrics);
-  r += ",\"metrics\":" + metrics.str();
-  // write_json ends with a newline; keep the response single-line.
-  while (!r.empty() && (r.back() == '\n' || r.back() == ' ')) r.pop_back();
-  r += "}";
-  std::string flat;
-  flat.reserve(r.size());
-  for (char c : r) flat += c == '\n' ? ' ' : c;
-  return flat;
+  w.key("journal").begin_object().key("head").integer(j.head());
+  w.key("capacity").integer(j.capacity());
+  w.key("enabled").boolean(j.enabled());
+  w.key("next_rid").integer(next_rid_).end_object();
+  w.key("options").begin_object();
+  w.key("queue_capacity").integer(opts_.queue_capacity);
+  w.key("shed1_depth").integer(opts_.shed1_depth);
+  w.key("shed2_depth").integer(opts_.shed2_depth);
+  w.key("default_time_budget_seconds")
+      .number(opts_.default_time_budget_seconds, 6);
+  w.key("default_node_budget").integer(opts_.default_node_budget);
+  w.key("default_mem_budget_bytes").integer(opts_.default_mem_budget_bytes);
+  w.key("paranoid").boolean(opts_.paranoid);
+  w.key("max_request_bytes").integer(opts_.limits.max_request_bytes);
+  w.key("workers").integer(opts_.workers);
+  w.key("chaos_probability").number(opts_.chaos_probability).end_object();
+  write_worker_pool(w.key("worker_pool"));
+  obs::Registry::global().write_json(w.key("metrics"));
+  return w.end_object().take();
+}
+
+void Server::write_worker_pool(util::JsonWriter& w) const {
+  if (pool_)
+    pool_->write_json(w, obs::clock_ns());
+  else
+    w.null();
 }
 
 std::string Server::handle_select(const Request& req, int queue_depth,

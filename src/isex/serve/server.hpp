@@ -207,6 +207,10 @@ class Server {
   /// Exposed for the periodic flush and tests.
   std::string render_introspect(int queue_depth) const;
 
+  /// The introspect `worker_pool` value: live per-worker state plus breaker
+  /// and quarantine counters, or null when the pool has not started.
+  void write_worker_pool(util::JsonWriter& w) const;
+
  private:
   /// One ordered slot of the in-flight window: an admitted request on its
   /// way to a response, or a response that is already final (a tombstone,

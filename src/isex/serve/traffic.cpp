@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "isex/util/json_writer.hpp"
+
 namespace isex::serve {
 namespace {
 
@@ -11,46 +13,46 @@ const char* kBenchmarks[] = {"crc32", "sha", "adpcm_enc", "adpcm_dec",
                              "stringsearch"};
 constexpr int kNumBenchmarks = 5;
 
+/// `{"id":"t<index>","cmd":` — a request written up to its cmd value.
+util::JsonWriter request(int index) {
+  util::JsonWriter w;
+  w.begin_object().key("id").string("t" + std::to_string(index)).key("cmd");
+  return w;
+}
+
 std::string valid_select(util::Rng& rng, int index, bool rms_mix) {
-  std::string line = "{\"id\":\"t" + std::to_string(index) + "\",";
-  line += "\"cmd\":\"select\",";
-  if (rms_mix && rng.chance(0.4)) line += "\"policy\":\"rms\",";
+  util::JsonWriter w = request(index);
+  w.string("select");
+  if (rms_mix && rng.chance(0.4)) w.key("policy").string("rms");
   const int n = rng.uniform_int(1, 3);
-  line += "\"benchmarks\":[";
-  for (int i = 0; i < n; ++i) {
-    if (i > 0) line += ",";
-    line += "\"";
-    line += kBenchmarks[rng.uniform_int(0, kNumBenchmarks - 1)];
-    line += "\"";
-  }
-  line += "],\"u0\":";
+  w.key("benchmarks").begin_array();
+  for (int i = 0; i < n; ++i)
+    w.string(kBenchmarks[rng.uniform_int(0, kNumBenchmarks - 1)]);
   // A coarse grid of utilizations/fractions keeps the distinct-request
   // population small enough that repeats and cache hits actually happen.
-  line += std::to_string(rng.uniform_int(10, 20));
-  line += "e-1,\"budget_fraction\":0.";
-  line += std::to_string(rng.uniform_int(1, 9));
-  line += ",\"node_budget\":200000}";
-  return line;
+  // Written as exact decimal literals, not as the nearest double.
+  w.end_array().key("u0").raw(std::to_string(rng.uniform_int(10, 20)) + "e-1");
+  w.key("budget_fraction").raw("0." + std::to_string(rng.uniform_int(1, 9)));
+  return w.key("node_budget").integer(200000).end_object().take();
 }
 
 std::string overbudget_select(util::Rng& rng, int index) {
   // Starvation-level budgets: the ladder must truncate or degrade, never
   // wedge. node_budget of a few hundred cannot finish any DP rung.
-  std::string line = "{\"id\":\"t" + std::to_string(index) + "\",";
-  line += "\"cmd\":\"select\",\"benchmarks\":[\"";
-  line += kBenchmarks[rng.uniform_int(0, kNumBenchmarks - 1)];
-  line += "\",\"";
-  line += kBenchmarks[rng.uniform_int(0, kNumBenchmarks - 1)];
-  line += "\"],\"u0\":1.4,\"budget_fraction\":0.5,\"node_budget\":";
-  line += std::to_string(rng.uniform_int(64, 512));
-  line += ",\"time_budget_ms\":1}";
-  return line;
+  util::JsonWriter w = request(index);
+  w.string("select");
+  w.key("benchmarks").begin_array();
+  w.string(kBenchmarks[rng.uniform_int(0, kNumBenchmarks - 1)]);
+  w.string(kBenchmarks[rng.uniform_int(0, kNumBenchmarks - 1)]).end_array();
+  w.key("u0").raw("1.4").key("budget_fraction").number(0.5);
+  w.key("node_budget").integer(rng.uniform_int(64, 512));
+  return w.key("time_budget_ms").integer(1).end_object().take();
 }
 
 std::string bad_schema(util::Rng& rng, int index) {
   switch (rng.uniform_int(0, 5)) {
     case 0:
-      return "{\"id\":\"t" + std::to_string(index) + "\",\"cmd\":\"launch\"}";
+      return request(index).string("launch").end_object().take();
     case 1:  // both task-set forms at once
       return "{\"cmd\":\"select\",\"benchmarks\":[\"crc32\"],\"u0\":1.0,"
              "\"tasks\":[],\"budget_fraction\":0.5}";
@@ -100,7 +102,7 @@ std::string malformed(util::Rng& rng, int index) {
       return v;
     }
     case 4:
-      return "{\"id\":\"t" + std::to_string(index) + "\",\"cmd\":";
+      return request(index).take();
     default:
       return "nul";  // keyword prefix
   }
@@ -119,9 +121,10 @@ std::string make_traffic_line(util::Rng& rng, int index,
   if (roll < band) return bad_schema(rng, index);
   band += opts.pct_ping;
   if (roll < band)
-    return rng.chance(0.3)
-               ? "{\"id\":\"t" + std::to_string(index) + "\",\"cmd\":\"stats\"}"
-               : "{\"id\":\"t" + std::to_string(index) + "\",\"cmd\":\"ping\"}";
+    return request(index)
+        .string(rng.chance(0.3) ? "stats" : "ping")
+        .end_object()
+        .take();
   band += opts.pct_overbudget;
   if (roll < band) return overbudget_select(rng, index);
   band += opts.pct_repeat;

@@ -415,36 +415,30 @@ std::vector<pid_t> WorkerPool::pids() const {
   return out;
 }
 
-std::string WorkerPool::render_json(std::int64_t now_ns) const {
-  std::string r = "{\"configured\":" + std::to_string(size());
-  r += ",\"live\":" + std::to_string(live_workers());
-  r += ",\"crashes\":" + std::to_string(crashes_);
-  r += ",\"respawns\":" + std::to_string(respawns_);
-  r += ",\"watchdog_kills\":" + std::to_string(watchdog_kills_);
-  r += ",\"breaker\":{\"open\":";
-  r += breaker_open(now_ns) ? "true" : "false";
-  r += ",\"opens\":" + std::to_string(breaker_opens_);
-  r += ",\"window_respawns\":" + std::to_string(respawn_times_ns_.size());
-  r += "}";
-  r += ",\"quarantine\":{\"entries\":" + std::to_string(quarantine_size());
-  r += ",\"tracked_hashes\":" + std::to_string(kill_counts_.size()) + "}";
-  r += ",\"per_worker\":[";
-  for (int w = 0; w < size(); ++w) {
-    const Slot& s = slots_[static_cast<std::size_t>(w)];
-    if (w) r += ",";
-    r += "{\"index\":" + std::to_string(w);
-    r += ",\"pid\":" + std::to_string(s.pid > 0 ? s.pid : -1);
-    r += ",\"state\":\"";
-    switch (s.state) {
-      case Slot::State::kDead: r += "dead"; break;
-      case Slot::State::kLive: r += s.busy ? "busy" : "idle"; break;
-      case Slot::State::kKilled: r += "killed"; break;
-    }
-    r += "\",\"handled\":" + std::to_string(s.handled);
-    r += ",\"crashes\":" + std::to_string(s.slot_crashes) + "}";
+void WorkerPool::write_json(util::JsonWriter& w, std::int64_t now_ns) const {
+  w.begin_object().key("configured").integer(size());
+  w.key("live").integer(live_workers());
+  w.key("crashes").integer(crashes_);
+  w.key("respawns").integer(respawns_);
+  w.key("watchdog_kills").integer(watchdog_kills_);
+  w.key("breaker").begin_object().key("open").boolean(breaker_open(now_ns));
+  w.key("opens").integer(breaker_opens_);
+  w.key("window_respawns").integer(respawn_times_ns_.size()).end_object();
+  w.key("quarantine").begin_object().key("entries").integer(quarantine_size());
+  w.key("tracked_hashes").integer(kill_counts_.size()).end_object();
+  w.key("per_worker").begin_array();
+  for (int i = 0; i < size(); ++i) {
+    const Slot& s = slots_[static_cast<std::size_t>(i)];
+    w.begin_object().key("index").integer(i);
+    w.key("pid").integer(s.pid > 0 ? s.pid : -1);
+    w.key("state").string(s.state == Slot::State::kDead     ? "dead"
+                          : s.state == Slot::State::kKilled ? "killed"
+                          : s.busy                          ? "busy"
+                                                            : "idle");
+    w.key("handled").integer(s.handled);
+    w.key("crashes").integer(s.slot_crashes).end_object();
   }
-  r += "]}";
-  return r;
+  w.end_array().end_object();
 }
 
 }  // namespace isex::supervise

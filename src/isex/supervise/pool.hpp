@@ -125,8 +125,8 @@ class WorkerPool {
   // --- introspection ------------------------------------------------------
   std::vector<pid_t> pids() const;
   /// Per-worker state plus breaker/quarantine, as one JSON object (the
-  /// `introspect` response embeds it verbatim).
-  std::string render_json(std::int64_t now_ns) const;
+  /// `introspect` response's `worker_pool` member).
+  void write_json(util::JsonWriter& w, std::int64_t now_ns) const;
 
   std::uint64_t crashes() const { return crashes_; }
   std::uint64_t respawns() const { return respawns_; }

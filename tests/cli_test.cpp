@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -12,9 +13,26 @@
 #include <vector>
 
 #include "isex/cli/driver.hpp"
+#include "isex/serve/json.hpp"
+#include "isex/util/file.hpp"
 
 namespace isex::cli {
 namespace {
+
+/// A report file the CLI wrote, parsed (with the limits bench_compare uses
+/// for large reports); fails the test when it is not valid JSON.
+serve::Json parse_report(const std::string& path) {
+  const util::FileReadResult f = util::read_file_bounded(path, 64u << 20);
+  EXPECT_TRUE(f.ok) << f.error;
+  serve::JsonLimits limits;
+  limits.max_values = 1 << 22;
+  const serve::JsonParseResult r = serve::json_parse(
+      std::string_view(reinterpret_cast<const char*>(f.data.data()),
+                       f.data.size()),
+      limits);
+  EXPECT_TRUE(r.ok()) << path << ": " << r.error;
+  return r.value;
+}
 
 /// Runs the CLI with stdout/stderr redirected to /dev/null (the commands
 /// print tables; the tests only care about the exit code).
@@ -129,6 +147,49 @@ TEST(Cli, ParanoidSelectCertifiesCleanOnGenuineOutput) {
   EXPECT_EQ(run_quiet({"--paranoid", "--node-budget=200K", "select", "1.08",
                        "0.5", "rms", "crc32", "sha"}),
             0);
+}
+
+TEST(Cli, EveryJsonReportParses) {
+  const std::string dir = "/tmp/isex_cli_reports_" + std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  const std::string metrics = dir + "/metrics.json",
+                    certify = dir + "/certify.json",
+                    trace = dir + "/trace.json", lift = dir + "/lift.json";
+  ASSERT_EQ(run_quiet({"--metrics=" + metrics, "certify", "crc32", "-o",
+                       certify}),
+            0);
+  ASSERT_EQ(run_quiet({"trace", "crc32", "-o", trace}), 0);
+  ASSERT_EQ(run_quiet({"lift", "--fixture", "crc32", "-o", lift}), 0);
+  EXPECT_NE(parse_report(metrics).find("counters"), nullptr);
+  const serve::Json c = parse_report(certify);
+  ASSERT_NE(c.find("ok"), nullptr);
+  EXPECT_TRUE(c.find("ok")->as_bool());
+  EXPECT_NE(parse_report(trace).find("traceEvents"), nullptr);
+  const serve::Json l = parse_report(lift);
+  ASSERT_NE(l.find("curve"), nullptr);
+  EXPECT_FALSE(l.find("curve")->items().empty());
+  for (const std::string& f : {metrics, certify, trace, lift})
+    std::remove(f.c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST(Cli, LiftReportSurvivesHostileFileNames) {
+  // A quote, a newline and a byte that is not UTF-8 in the input's name:
+  // the report still parses, and the name reads back with U+FFFD in place
+  // of the bad byte.
+  const std::string dir = "/tmp/isex_cli_hostile_" + std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  const std::string elf = dir + "/a\"b\n\xff" "c.elf";
+  const std::string out = dir + "/out.json";
+  ASSERT_EQ(run_quiet({"lift", "--emit-fixture", "crc32", elf}), 0);
+  ASSERT_EQ(run_quiet({"lift", elf, "-o", out}), 0);
+  const serve::Json report = parse_report(out);
+  const serve::Json* name = report.find("name");
+  ASSERT_NE(name, nullptr);
+  EXPECT_EQ(name->as_string(), dir + "/a\"b\n\xEF\xBF\xBD" "c.elf");
+  std::remove(elf.c_str());
+  std::remove(out.c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "isex/cli/driver.hpp"
 #include "isex/obs/metrics.hpp"
+#include "isex/serve/json.hpp"
 
 namespace isex::cli {
 namespace {
@@ -74,7 +75,10 @@ TEST(Determinism, CertifyReportMetricsAndStdoutAreByteIdentical) {
   EXPECT_EQ(metrics1, slurp(metrics));
   EXPECT_EQ(stdout1, slurp(stdout_path));
   EXPECT_FALSE(report1.empty());
-  EXPECT_NE(report1.find("\"ok\": true"), std::string::npos);
+  const serve::JsonParseResult parsed = serve::json_parse(report1);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const serve::Json* ok = parsed.value.find("ok");
+  EXPECT_TRUE(ok != nullptr && ok->is_bool() && ok->as_bool()) << report1;
 
   std::remove(report.c_str());
   std::remove(metrics.c_str());

@@ -224,11 +224,11 @@ TEST(MetricsTest, RegistryJsonParsesBack) {
   reg.counter("test.obs.json \"quoted\"\n").add(7);
   reg.gauge("test.obs.json_gauge").set(2.5);
   reg.histogram("test.obs.json_hist").record(3);
-  std::ostringstream os;
-  reg.write_json(os);
-  JsonReader r(os.str());
-  EXPECT_TRUE(r.valid()) << os.str();
-  EXPECT_NE(os.str().find("test.obs.json \\\"quoted\\\"\\n"), std::string::npos);
+  util::JsonWriter w;
+  reg.write_json(w);
+  JsonReader r(w.str());
+  EXPECT_TRUE(r.valid()) << w.str();
+  EXPECT_NE(w.str().find("test.obs.json \\\"quoted\\\"\\n"), std::string::npos);
 }
 
 TEST(MetricsTest, ResetZeroesButKeepsReferencesValid) {
@@ -316,8 +316,8 @@ TEST_F(TraceBufferTest, ChromeJsonParsesBackWithBothTimelines) {
   // an object with an args object inside.
   EXPECT_GE(r.objects(), 6);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"wall \\\"span\\\"\""), std::string::npos);
   EXPECT_NE(json.find("\"crc32\""), std::string::npos);
 }

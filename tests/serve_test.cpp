@@ -68,9 +68,10 @@ TEST(ServeJson, EnforcesLimits) {
 }
 
 TEST(ServeJson, NumberRendering) {
-  EXPECT_EQ(json_number(3), "3");
-  EXPECT_EQ(json_number(-0.5), "-0.5");
-  EXPECT_EQ(json_number(1e300), json_number(1e300));  // stable
+  const auto num = [](double v) { return util::JsonWriter().number(v).take(); };
+  EXPECT_EQ(num(3), "3");
+  EXPECT_EQ(num(-0.5), "-0.5");
+  EXPECT_EQ(num(1e300), num(1e300));  // stable
 }
 
 // --- protocol decode ---------------------------------------------------------
@@ -206,7 +207,7 @@ TEST(ServeCache, LruEvictionAndPoison) {
 // cache (no multi-second cold curve builds inside unit tests).
 std::string inline_select(const std::string& id, double area = 3.0) {
   return "{\"id\":\"" + id + "\",\"cmd\":\"select\",\"area_budget\":" +
-         json_number(area) +
+         util::JsonWriter().number(area).take() +
          ",\"tasks\":[{\"name\":\"t0\",\"period\":100,\"configs\":"
          "[[0,50],[2,25]]},{\"name\":\"t1\",\"period\":200,\"configs\":"
          "[[0,80],[1,60],[3,40]]}],\"node_budget\":50000}";

@@ -195,7 +195,7 @@ TEST(SuperviseWorker, RlimitsApplyInAForkedChild) {
 std::string inline_select(const std::string& id, double area = 3.0,
                           const std::string& extra = "") {
   return "{\"id\":\"" + id + "\",\"cmd\":\"select\",\"area_budget\":" +
-         serve::json_number(area) + extra +
+         util::JsonWriter().number(area).take() + extra +
          ",\"tasks\":[{\"name\":\"t0\",\"period\":100,\"configs\":"
          "[[0,50],[2,25]]},{\"name\":\"t1\",\"period\":200,\"configs\":"
          "[[0,80],[1,60],[3,40]]}],\"node_budget\":50000}";

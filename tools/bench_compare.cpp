@@ -31,13 +31,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "isex/serve/json.hpp"
 #include "isex/util/file.hpp"
+#include "isex/util/json_writer.hpp"
 
 using namespace isex;
 using serve::Json;
@@ -475,23 +475,18 @@ void compare_lift(const Json& base, const Json& fresh) {
 
 void write_report(const std::string& out_path, const std::string& kind,
                   const std::string& base_file, const std::string& fresh_file) {
-  util::write_file_atomic(out_path, [&](std::ostream& out) {
-    out << "{\n  \"tool\": \"bench_compare\",\n  \"kind\": "
-        << serve::json_quote(kind)
-        << ",\n  \"baseline\": " << serve::json_quote(base_file)
-        << ",\n  \"fresh\": " << serve::json_quote(fresh_file)
-        << ",\n  \"regressions\": " << g_regressions << ",\n  \"checks\": [\n";
-    for (std::size_t i = 0; i < g_checks.size(); ++i) {
-      const Check& c = g_checks[i];
-      out << "    {\"metric\": " << serve::json_quote(c.metric)
-          << ", \"base\": " << serve::json_number(c.base)
-          << ", \"fresh\": " << serve::json_number(c.fresh)
-          << ", \"ok\": " << (c.ok ? "true" : "false")
-          << ", \"note\": " << serve::json_quote(c.note) << "}"
-          << (i + 1 == g_checks.size() ? "" : ",") << "\n";
-    }
-    out << "  ]\n}\n";
-  });
+  util::JsonWriter w;
+  w.begin_object().key("tool").string("bench_compare").key("kind").string(kind);
+  w.key("baseline").string(base_file).key("fresh").string(fresh_file);
+  w.key("regressions").integer(g_regressions).key("checks").begin_array();
+  for (const Check& c : g_checks) {
+    w.begin_object().key("metric").string(c.metric);
+    w.key("base").number(c.base).key("fresh").number(c.fresh);
+    w.key("ok").boolean(c.ok).key("note").string(c.note).end_object();
+  }
+  w.end_array().end_object();
+  util::write_file_atomic(out_path,
+                          [&](std::ostream& out) { out << w.str() << '\n'; });
 }
 
 int usage() {
