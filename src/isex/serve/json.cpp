@@ -53,37 +53,6 @@ Json Json::make_object(std::vector<std::pair<std::string, Json>> members) {
 
 namespace {
 
-/// Returns the byte length of the valid UTF-8 sequence starting at s[pos]
-/// (lead byte >= 0x80), or 0 if the bytes there are not well-formed UTF-8
-/// (truncated, stray continuation, overlong, surrogate, or beyond U+10FFFF).
-std::size_t valid_utf8_len(std::string_view s, std::size_t pos) {
-  const unsigned char lead = static_cast<unsigned char>(s[pos]);
-  std::size_t extra;
-  unsigned cp;
-  if (lead >= 0xC2 && lead <= 0xDF) {
-    extra = 1;
-    cp = lead & 0x1Fu;
-  } else if (lead >= 0xE0 && lead <= 0xEF) {
-    extra = 2;
-    cp = lead & 0x0Fu;
-  } else if (lead >= 0xF0 && lead <= 0xF4) {
-    extra = 3;
-    cp = lead & 0x07u;
-  } else {
-    return 0;  // 0x80..0xBF stray continuation, 0xC0/0xC1 overlong, 0xF5+.
-  }
-  if (pos + 1 + extra > s.size()) return 0;
-  for (std::size_t i = 1; i <= extra; ++i) {
-    const unsigned char cont = static_cast<unsigned char>(s[pos + i]);
-    if ((cont & 0xC0u) != 0x80u) return 0;
-    cp = (cp << 6) | (cont & 0x3Fu);
-  }
-  if ((extra == 2 && cp < 0x800) || (extra == 3 && cp < 0x10000)) return 0;
-  if (cp >= 0xD800 && cp <= 0xDFFF) return 0;
-  if (cp > 0x10FFFF) return 0;
-  return 1 + extra;
-}
-
 /// Recursive-descent parser over a bounded input. Depth is bounded by
 /// limits.max_depth, so the recursion can never exhaust the stack; the value
 /// and string budgets bound heap growth. All errors carry the byte offset.
@@ -258,7 +227,7 @@ class Parser {
   /// encodings, surrogate code points, and anything above U+10FFFF, so every
   /// accepted string is well-formed UTF-8 end to end.
   bool copy_utf8_sequence(std::string& out) {
-    const std::size_t len = valid_utf8_len(text_, pos_);
+    const std::size_t len = util::utf8_length(text_, pos_);
     if (len == 0) return fail("invalid UTF-8 sequence in string");
     out.append(text_.substr(pos_, len));
     pos_ += len;

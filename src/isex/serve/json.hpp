@@ -10,10 +10,11 @@
 // byte offset. Malformed input is the *expected* case for a server, so the
 // error path is a value, not an exception.
 //
-// Writing JSON is util::JsonWriter's job, and the parser shares no code with
-// it: the parser is the writer's independent test oracle (every document the
-// program emits must parse back here), so a writer bug cannot hide behind a
-// matching parser bug.
+// Writing JSON is util::JsonWriter's job. The parser is the writer's test
+// oracle (every document the program emits must parse back here) and shares
+// only util::utf8_length with it, the one rule for well-formed UTF-8; the
+// writer's tests pin its replacement bytes literally, so the shared rule is
+// checked on its own.
 #pragma once
 
 #include <cstddef>

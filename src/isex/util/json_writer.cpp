@@ -3,11 +3,7 @@
 #include <cmath>
 
 namespace isex::util {
-namespace {
 
-/// Byte length of the well-formed UTF-8 sequence at s[i] (lead byte >= 0x80),
-/// or 0 for a truncated sequence, stray continuation byte, overlong form,
-/// surrogate or code point above U+10FFFF.
 std::size_t utf8_length(std::string_view s, std::size_t i) {
   const auto lead = static_cast<unsigned char>(s[i]);
   const std::size_t n = lead >= 0xF0   ? 4
@@ -26,6 +22,8 @@ std::size_t utf8_length(std::string_view s, std::size_t i) {
     return 0;
   return n;
 }
+
+namespace {
 
 void append_quoted(std::string& out, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";

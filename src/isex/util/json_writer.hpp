@@ -11,17 +11,23 @@
 //
 // The writer places commas and colons; callers only say what comes next.
 // It does not check that begin/end calls pair up or that object members get
-// keys — serve::json_parse, an independent implementation, is its test
-// oracle.
+// keys — serve::json_parse, a separate implementation, is its test oracle.
 #pragma once
 
 #include <charconv>
 #include <concepts>
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <utility>
 
 namespace isex::util {
+
+/// Byte length of the well-formed UTF-8 sequence at s[i] (lead byte >= 0x80),
+/// or 0 for a truncated sequence, stray continuation byte, overlong form,
+/// surrogate or code point above U+10FFFF. The writer's escaper and
+/// serve::json_parse both judge bytes by this one rule.
+std::size_t utf8_length(std::string_view s, std::size_t i);
 
 class JsonWriter {
  public:

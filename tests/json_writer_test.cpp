@@ -1,5 +1,5 @@
 // util::JsonWriter against its oracle: every document it writes must parse
-// back under serve::json_parse (an independent implementation) to the values
+// back under serve::json_parse (a separate implementation) to the values
 // that went in. Covers separators and nesting, empty containers, every
 // control byte, U+FFFD substitution for bytes that are not UTF-8, and the
 // number format (round-trip exact, null for non-finite, the same bytes the

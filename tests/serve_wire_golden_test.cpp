@@ -10,10 +10,12 @@
 // worker-pool errors with their extra fields, and the traffic generator's
 // request lines. Any byte that moves fails the test.
 //
-// Masked, because they are wall-clock measurements: `elapsed_ms`, the values
-// of the stats `latency_us` histograms, and introspect's `metrics` member
-// (the process-wide metrics registry: span timings and the registry report
-// layout). Traffic lines carry raw bytes, so the file stores them with
+// Masked, because they are wall-clock measurements or observability state
+// rather than wire format: `elapsed_ms`, the values of the stats `latency_us`
+// histograms, introspect's `metrics` member (the process-wide metrics
+// registry: span timings and the registry report layout) and its
+// `journal.head` (the flight-recorder record count, 0 when the recorder is
+// compiled out with ISEX_NO_OBS). Traffic lines carry raw bytes, so the file stores them with
 // \xNN escapes for bytes outside printable ASCII.
 //
 // On a mismatch the test writes what it computed to
@@ -114,6 +116,7 @@ std::string masked(std::string s) {
   const auto hide = [](const std::string&) { return std::string("#"); };
   replace_values(s, "elapsed_ms", hide);
   replace_values(s, "metrics", hide);
+  replace_values(s, "head", hide);
   replace_values(s, "latency_us", mask_numbers);
   return s;
 }
