@@ -13,8 +13,6 @@
 //     with full precision) at T threads is compared byte-for-byte against
 //     the 1-thread curve. The parallel solver core promises byte-identical
 //     results at any thread count, so this is always gated at zero.
-// One RMS branch-and-bound selection over a 5-task set is byte-checked the
-// same way (ts.size() >= 5 engages the parallel B&B).
 //
 // Writes BENCH_parallel.json (override with ISEX_BENCH_OUT) with provenance,
 // so tools/bench_compare can gate efficiency and mismatches in CI.
@@ -28,14 +26,12 @@
 #include <string>
 #include <vector>
 
-#include "isex/customize/select_rms.hpp"
 #include "isex/hw/cell_library.hpp"
 #include "isex/obs/provenance.hpp"
 #include "isex/select/config_curve.hpp"
 #include "isex/util/stopwatch.hpp"
 #include "isex/util/table.hpp"
 #include "isex/util/task_pool.hpp"
-#include "isex/workloads/tasks.hpp"
 #include "isex/workloads/workloads.hpp"
 
 using namespace isex;
@@ -72,18 +68,6 @@ std::string serialize_curve(const select::ConfigCurve& c) {
     s += buf;
   }
   return s;
-}
-
-std::string serialize_selection(const customize::SelectionResult& r) {
-  std::string s;
-  char buf[96];
-  for (int a : r.assignment) {
-    std::snprintf(buf, sizeof buf, "%d;", a);
-    s += buf;
-  }
-  std::snprintf(buf, sizeof buf, "U=%.17g,A=%.17g", r.utilization,
-                r.area_used);
-  return s + buf;
 }
 
 struct Point {
@@ -150,44 +134,6 @@ int main(int argc, char** argv) {
         const auto curve = select::build_config_curve(prog, counts, lib, opts);
         best = std::min(best, sw.seconds());
         serialized = serialize_curve(curve);
-      }
-      Point p;
-      p.threads = t;
-      p.wall_seconds = best;
-      if (t == 1) {
-        baseline = serialized;
-        base_wall = best;
-      }
-      p.speedup = best > 0 ? base_wall / best : 1;
-      p.efficiency = p.speedup / static_cast<double>(std::min(t, ncpu));
-      p.byte_mismatches = serialized == baseline ? 0 : 1;
-      total_mismatches += p.byte_mismatches;
-      kr.points.push_back(p);
-    }
-    results.push_back(std::move(kr));
-  }
-
-  // RMS B&B byte-identity on a 5-task set (>= 5 engages the parallel path).
-  {
-    util::set_max_threads(1);
-    auto ts = workloads::make_taskset({"crc32", "sha", "aes", "adpcm_enc",
-                                       "blowfish"},
-                                      1.05);
-    ts.sort_by_period();
-    const double budget = 0.5 * ts.max_area();
-    KernelResult kr;
-    kr.name = "rms_select5";
-    std::string baseline;
-    double base_wall = 0;
-    for (int t : thread_list) {
-      util::set_max_threads(t);
-      double best = 1e300;
-      std::string serialized;
-      for (int r = 0; r < reps; ++r) {
-        util::Stopwatch sw;
-        const auto sel = customize::select_rms(ts, budget);
-        best = std::min(best, sw.seconds());
-        serialized = serialize_selection(sel);
       }
       Point p;
       p.threads = t;

@@ -1,9 +1,11 @@
 // Self-profiler: runs the full toolchain (curve construction -> selection ->
 // schedule simulation) over the 18 kernels of the thesis' Table 5.1 pool and
 // emits a machine-readable per-kernel, per-phase report of wall time and the
-// obs counters each phase produced. The JSON seeds BENCH_self_profile.json so
-// CI and later sessions can diff enumeration/selection effort regressions,
-// not just end-to-end time.
+// obs counters each phase produced, plus RMS scaling rows: serial
+// branch-and-bound over the first 5/8/14/18 kernels (u0 1.05, budget
+// 0.5 Max_Area) with wall time and node count. The JSON seeds
+// BENCH_self_profile.json so CI and later sessions can diff
+// enumeration/selection effort regressions, not just end-to-end time.
 //
 //   self_profile [out.json]      (default BENCH_self_profile.json)
 //
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "isex/customize/select_edf.hpp"
+#include "isex/customize/select_rms.hpp"
 #include "isex/faults/sensitivity.hpp"
 #include "isex/obs/metrics.hpp"
 #include "isex/obs/provenance.hpp"
@@ -55,6 +58,13 @@ std::map<std::string, std::uint64_t> counter_delta(
   }
   return d;
 }
+
+struct RmsRow {
+  std::size_t tasks = 0;
+  double seconds = 0;
+  long nodes = 0;
+  double utilization = 0;
+};
 
 void write_phase(util::JsonWriter& w, const Phase& p) {
   w.begin_object().key("phase").string(p.name);
@@ -121,6 +131,21 @@ int main(int argc, char** argv) {
                 reports.back().phases[2].seconds);
   }
 
+  // RMS scaling: the curves are cached by now, so each row times the
+  // branch-and-bound alone (test-point tables and suffix fronts included).
+  std::vector<RmsRow> rms_rows;
+  for (const std::size_t n : {5u, 8u, 14u, 18u}) {
+    auto ts = workloads::make_taskset(
+        std::vector<std::string>(std::begin(kKernels), std::begin(kKernels) + n),
+        1.05);
+    ts.sort_by_period();
+    util::Stopwatch sw;
+    const auto r = customize::select_rms(ts, 0.5 * ts.max_area());
+    rms_rows.push_back({n, sw.seconds(), r.nodes_visited, r.utilization});
+    std::printf("rms %2zu tasks  %7.3fs  %8ld nodes  U %.4f\n", n,
+                rms_rows.back().seconds, r.nodes_visited, r.utilization);
+  }
+
   util::JsonWriter w;
   w.begin_object().key("tool").string("self_profile");
   obs::write_provenance_json(w.key("provenance"), obs::collect_provenance());
@@ -133,6 +158,12 @@ int main(int argc, char** argv) {
     w.key("configs").integer(rep.configs).key("phases").begin_array();
     for (const Phase& p : rep.phases) write_phase(w, p);
     w.end_array().end_object();
+  }
+  w.end_array().key("rms_scaling").begin_array();
+  for (const RmsRow& row : rms_rows) {
+    w.begin_object().key("tasks").integer(row.tasks);
+    w.key("seconds").number(row.seconds).key("nodes").integer(row.nodes);
+    w.key("utilization").number(row.utilization).end_object();
   }
   reg.write_json(w.end_array().key("registry"));
   std::ofstream out(out_path);

@@ -1,34 +1,107 @@
 #include "isex/customize/select_rms.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <cmath>
+#include <iterator>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "isex/obs/trace.hpp"
 #include "isex/rt/schedulability.hpp"
-#include "isex/util/task_pool.hpp"
 
 namespace isex::customize {
 
 namespace {
 
+/// Area slack of the search's area rule: a configuration fits when
+/// cfg.area <= remaining area + kAreaTol.
+constexpr double kAreaTol = 1e-9;
+/// Relative slack on the Pareto bound. The bound sums each suffix in another
+/// order than the search path does; the slack keeps float re-association from
+/// lifting the bound above a leaf it must not cut.
+constexpr double kBoundSlack = 1e-12;
+
+/// One configuration of a level, in the order the search tries it.
+struct Choice {
+  double area;
+  double cycles;
+  double util;  // cycles / period
+  int index;    // into Task::configs
+};
+
+/// Non-dominated (area, utilization) pairs of a task suffix: ascending area,
+/// strictly descending utilization (a Nemhauser-Ullmann list).
+using Front = std::vector<std::pair<double, double>>;
+
+/// Caps a front's length, so a hostile curve (every combination of areas on
+/// one utilization line is non-dominated) cannot grow the lists
+/// geometrically. A longer front is coarsened to kMaxFront / 2 entries by
+/// merging runs of neighbours into (first area, last utilization): the step
+/// function only drops, so every bound built on it stays a lower bound.
+constexpr std::size_t kMaxFront = 1 << 13;
+
+void coarsen(Front& f) {
+  const std::size_t stride = (f.size() + kMaxFront / 2 - 1) / (kMaxFront / 2);
+  std::size_t out = 0;
+  for (std::size_t k = 0; k < f.size(); k += stride)
+    f[out++] = {f[k].first, f[std::min(f.size(), k + stride) - 1].second};
+  f.resize(out);
+}
+
+/// fronts[i] = the front of tasks i..N-1, built once per search in real
+/// areas (no grid); fronts[N] = {(0, 0)}.
+std::vector<Front> suffix_fronts(const rt::TaskSet& ts) {
+  const std::size_t n = ts.size();
+  std::vector<Front> fronts(n + 1);
+  fronts[n] = {{0.0, 0.0}};
+  Front acc, merged;
+  for (std::size_t i = n; i-- > 0;) {
+    const rt::Task& t = ts.tasks[i];
+    const Front& next = fronts[i + 1];
+    acc.clear();
+    for (const auto& cfg : t.configs) {
+      const double u = cfg.cycles / t.period;
+      merged.clear();
+      auto a = acc.begin();
+      auto keep = [&](double area, double util) {
+        if (merged.empty() || util < merged.back().second)
+          merged.emplace_back(area, util);
+      };
+      for (const auto& [na, nu] : next) {
+        const std::pair<double, double> b{cfg.area + na, u + nu};
+        for (; a != acc.end() && *a < b; ++a) keep(a->first, a->second);
+        keep(b.first, b.second);
+      }
+      for (; a != acc.end(); ++a) keep(a->first, a->second);
+      acc.swap(merged);
+      if (acc.size() > kMaxFront) coarsen(acc);
+    }
+    fronts[i] = acc;
+  }
+  return fronts;
+}
+
+/// Minimum utilization of the front's entries with area <= limit; +inf when
+/// none fits.
+double front_min_util(const Front& f, double limit) {
+  const auto it = std::upper_bound(
+      f.begin(), f.end(), limit,
+      [](double a, const std::pair<double, double>& e) { return a < e.first; });
+  return it == f.begin() ? std::numeric_limits<double>::infinity()
+                         : std::prev(it)->second;
+}
+
 struct Search {
   const rt::TaskSet& ts;
-  double area_budget;
   const RmsOptions& opts;
+  const double area_slack;  // kAreaTol plus float slack on remaining areas
 
-  /// Parallel mode only: the cross-branch incumbent. Pruning against it must
-  /// be *strict* (>) — a subtree able to merely equal a known solution may
-  /// still hold the leftmost occurrence of the optimum, which is the one the
-  /// serial search reports. The branch-local incumbent keeps the serial
-  /// non-strict (>=) prune.
-  std::atomic<double>* shared_best = nullptr;
-
+  std::vector<std::vector<Choice>> levels;  // per task, in visit order
   std::vector<double> min_util_suffix;  // best possible utilization of tasks i..N-1
-  std::vector<double> periods;
+  std::vector<Front> fronts;            // area-aware suffix bounds
+  rt::RmsTestTable tests;
   std::vector<double> cycles;  // execution time of tasks 0..level-1 (chosen)
   std::vector<int> current;
 
@@ -42,17 +115,58 @@ struct Search {
   long sched_pruned = 0;
   long incumbent_updates = 0;
 
-  Search(const rt::TaskSet& t, double budget, const RmsOptions& o)
-      : ts(t), area_budget(budget), opts(o) {
+  static std::vector<double> periods_of(const rt::TaskSet& ts) {
+    std::vector<double> p;
+    p.reserve(ts.size());
+    for (const auto& task : ts.tasks) p.push_back(task.period);
+    return p;
+  }
+
+  Search(const rt::TaskSet& t, double area_budget, const RmsOptions& o)
+      : ts(t),
+        opts(o),
+        area_slack(kAreaTol + kBoundSlack * std::abs(area_budget)),
+        fronts(suffix_fronts(t)),
+        tests(periods_of(t)) {
     const auto n = ts.size();
     min_util_suffix.assign(n + 1, 0);
     for (std::size_t i = n; i-- > 0;)
       min_util_suffix[i] =
           min_util_suffix[i + 1] + ts.tasks[i].best_cycles() / ts.tasks[i].period;
-    periods.reserve(n);
-    for (const auto& task : ts.tasks) periods.push_back(task.period);
+    levels.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const rt::Task& task = ts.tasks[i];
+      std::vector<std::size_t> order(task.configs.size());
+      std::iota(order.begin(), order.end(), 0u);
+      if (opts.fastest_first)
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                    return task.configs[a].cycles < task.configs[b].cycles;
+                  });
+      for (std::size_t j : order) {
+        const auto& cfg = task.configs[j];
+        levels[i].push_back({cfg.area, cfg.cycles, cfg.cycles / task.period,
+                             static_cast<int>(j)});
+      }
+    }
     cycles.assign(n, 0);
     current.assign(n, 0);
+  }
+
+  std::size_t front_entries() const {
+    std::size_t n = 0;
+    for (const Front& f : fronts) n += f.size();
+    return n;
+  }
+
+  /// Lower bound on every leaf below a node: the larger of "every remaining
+  /// task at its fastest configuration" and the best suffix-front entry
+  /// that fits in the remaining area.
+  double lower_bound(std::size_t level, double util, double area) const {
+    const double lb = util + min_util_suffix[level];
+    if (lb >= best_util) return lb;
+    const double suffix = front_min_util(fronts[level], area + area_slack);
+    return std::max(lb, (util + suffix) * (1 - kBoundSlack));
   }
 
   void run(std::size_t level, double util, double area) {
@@ -72,198 +186,37 @@ struct Search {
         best_assignment = current;
         found = true;
         ++incumbent_updates;
-        if (shared_best != nullptr) {
-          double cur = shared_best->load(std::memory_order_relaxed);
-          while (util < cur && !shared_best->compare_exchange_weak(
-                                   cur, util, std::memory_order_relaxed)) {
-          }
-        }
       }
       return;
     }
-    if (opts.use_bound_pruning) {
-      const double lb = util + min_util_suffix[level];
-      if (lb >= best_util ||
-          (shared_best != nullptr &&
-           lb > shared_best->load(std::memory_order_relaxed))) {
-        ++bound_pruned;
-        return;
-      }
+    if (opts.use_bound_pruning && lower_bound(level, util, area) >= best_util) {
+      ++bound_pruned;
+      return;
     }
 
-    const rt::Task& t = ts.tasks[level];
-    std::vector<std::size_t> order(t.configs.size());
-    std::iota(order.begin(), order.end(), 0u);
-    if (opts.fastest_first)
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return t.configs[a].cycles < t.configs[b].cycles;
-      });
-
-    for (std::size_t j : order) {
-      const auto& cfg = t.configs[j];
-      if (cfg.area > area + 1e-9) {  // area pruning
+    for (const Choice& c : levels[level]) {
+      if (c.area > area + kAreaTol) {  // area pruning
         ++area_pruned;
         continue;
       }
-      cycles[level] = cfg.cycles;
+      cycles[level] = c.cycles;
       // Exact Theorem-1 check for this task only; the higher-priority tasks
       // were verified at shallower levels and cannot be disturbed.
-      if (!rt::rms_task_schedulable(
-              static_cast<int>(level),
-              {cycles.begin(), cycles.begin() + static_cast<long>(level) + 1},
-              {periods.begin(),
-               periods.begin() + static_cast<long>(level) + 1})) {
+      if (!tests.task_schedulable(level, cycles.data())) {
         ++sched_pruned;
         continue;  // this and only this subtree is infeasible
       }
-      current[level] = static_cast<int>(j);
-      run(level + 1, util + cfg.cycles / t.period, area - cfg.area);
+      current[level] = c.index;
+      run(level + 1, util + c.util, area - c.area);
     }
   }
 };
-
-/// One search-tree prefix (a partial assignment of tasks 0..depth-1) used to
-/// split the B&B across workers.
-struct RmsPrefix {
-  std::vector<int> assign;
-  std::vector<double> cycles;
-  double util = 0;
-  double area = 0;  // remaining area
-};
-
-/// Parallel B&B over root prefixes, byte-identical to the serial search.
-///
-/// The serial answer is the *leftmost* (in DFS order) occurrence of the
-/// minimum utilization: before the first optimal leaf is reached, the
-/// incumbent is strictly above the optimum, so no node on the path to that
-/// leaf satisfies the non-strict bound prune (its lower bound is <= the
-/// optimum). The same argument shows that strict (>) pruning against any
-/// shared incumbent value (always >= the optimum, it is some real solution)
-/// can never cut the leftmost optimal leaf of any branch. Each branch runs
-/// with a local incumbent from infinity and full serial semantics, and the
-/// left-to-right strictly-improving merge therefore reproduces exactly the
-/// serial best_util and best_assignment; the shared incumbent only removes
-/// work that cannot strictly improve, and only nodes/pruning *counters* are
-/// scheduling-dependent.
-RmsResult select_rms_parallel(const rt::TaskSet& ts, double area_budget,
-                              const RmsOptions& opts) {
-  // Expand shallow levels in exact serial child order until there are enough
-  // branches to feed the pool.
-  std::vector<RmsPrefix> frontier{{{}, {}, 0.0, area_budget}};
-  std::vector<double> periods;
-  for (const auto& task : ts.tasks) periods.push_back(task.period);
-  long prefix_nodes = 0, prefix_area_pruned = 0, prefix_sched_pruned = 0;
-  std::size_t depth = 0;
-  const std::size_t target =
-      static_cast<std::size_t>(util::max_threads()) * 4;
-  const std::size_t depth_cap = std::min<std::size_t>(3, ts.size() - 1);
-  while (depth < depth_cap && frontier.size() < target &&
-         !frontier.empty()) {
-    const rt::Task& t = ts.tasks[depth];
-    std::vector<std::size_t> order(t.configs.size());
-    std::iota(order.begin(), order.end(), 0u);
-    if (opts.fastest_first)
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return t.configs[a].cycles < t.configs[b].cycles;
-      });
-    std::vector<RmsPrefix> next;
-    for (RmsPrefix& p : frontier) {
-      ++prefix_nodes;  // the run() call this expansion stands in for
-      for (std::size_t j : order) {
-        const auto& cfg = t.configs[j];
-        if (cfg.area > p.area + 1e-9) {
-          ++prefix_area_pruned;
-          continue;
-        }
-        RmsPrefix child = p;
-        child.cycles.push_back(cfg.cycles);
-        if (!rt::rms_task_schedulable(
-                static_cast<int>(depth), child.cycles,
-                {periods.begin(),
-                 periods.begin() + static_cast<long>(depth) + 1})) {
-          ++prefix_sched_pruned;
-          child.cycles.pop_back();
-          continue;
-        }
-        child.assign.push_back(static_cast<int>(j));
-        child.util = p.util + cfg.cycles / t.period;
-        child.area = p.area - cfg.area;
-        next.push_back(std::move(child));
-      }
-    }
-    frontier = std::move(next);
-    ++depth;
-  }
-
-  std::atomic<double> shared_best{std::numeric_limits<double>::infinity()};
-  std::vector<std::unique_ptr<Search>> branches(frontier.size());
-  util::parallel_for(frontier.size(), [&](std::size_t i) {
-    auto s = std::make_unique<Search>(ts, area_budget, opts);
-    s->shared_best = &shared_best;
-    const RmsPrefix& p = frontier[i];
-    for (std::size_t l = 0; l < depth; ++l) {
-      s->current[l] = p.assign[l];
-      s->cycles[l] = p.cycles[l];
-    }
-    s->run(depth, p.util, p.area);
-    branches[i] = std::move(s);
-  });
-
-  // Left-to-right strictly-improving merge == serial leftmost optimum.
-  long nodes = prefix_nodes, bound_pruned = 0, area_pruned = prefix_area_pruned,
-       sched_pruned = prefix_sched_pruned, incumbent_updates = 0;
-  double best_util = std::numeric_limits<double>::infinity();
-  std::vector<int> best_assignment;
-  bool found = false;
-  for (const auto& s : branches) {
-    nodes += s->nodes;
-    bound_pruned += s->bound_pruned;
-    area_pruned += s->area_pruned;
-    sched_pruned += s->sched_pruned;
-    incumbent_updates += s->incumbent_updates;
-    if (s->found && s->best_util < best_util) {
-      best_util = s->best_util;
-      best_assignment = s->best_assignment;
-      found = true;
-    }
-  }
-  ISEX_COUNT("customize.rms.runs");
-  ISEX_COUNT_ADD("customize.rms.nodes", nodes);
-  ISEX_COUNT_ADD("customize.rms.bound_pruned", bound_pruned);
-  ISEX_COUNT_ADD("customize.rms.area_pruned", area_pruned);
-  ISEX_COUNT_ADD("customize.rms.sched_pruned", sched_pruned);
-  ISEX_COUNT_ADD("customize.rms.incumbent_updates", incumbent_updates);
-
-  RmsResult res;
-  res.nodes_visited = nodes;
-  res.found_feasible = found;
-  res.completed = true;  // no cap/budget in the parallel mode
-  if (found) {
-    res.assignment = best_assignment;
-    res.schedulable = true;
-  } else {
-    res.assignment.assign(ts.size(), 0);
-    res.schedulable = false;
-  }
-  res.utilization = ts.utilization(res.assignment);
-  res.area_used = ts.area(res.assignment);
-  return res;
-}
 
 }  // namespace
 
 RmsResult select_rms(const rt::TaskSet& ts, double area_budget,
                      const RmsOptions& opts) {
   ISEX_SPAN_CAT("customize.select_rms", "customize");
-  // The parallel split requires: no budget (a budget with deterministic
-  // limits pins the serial truncation schedule, and certify relies on
-  // max_nodes runs being exactly reproducible), no node cap, a few tasks to
-  // split on, and more than one thread. nodes_visited/pruning counters are
-  // scheduling-dependent in parallel runs; the selection itself is
-  // byte-identical to serial.
-  if (util::max_threads() > 1 && opts.budget == nullptr &&
-      opts.max_nodes < 0 && ts.size() >= 5)
-    return select_rms_parallel(ts, area_budget, opts);
   Search s(ts, area_budget, opts);
   s.run(0, 0, area_budget);
   ISEX_COUNT("customize.rms.runs");
@@ -272,6 +225,8 @@ RmsResult select_rms(const rt::TaskSet& ts, double area_budget,
   ISEX_COUNT_ADD("customize.rms.area_pruned", s.area_pruned);
   ISEX_COUNT_ADD("customize.rms.sched_pruned", s.sched_pruned);
   ISEX_COUNT_ADD("customize.rms.incumbent_updates", s.incumbent_updates);
+  ISEX_COUNT_ADD("customize.rms.front_entries", s.front_entries());
+  ISEX_COUNT_ADD("customize.rms.test_points", s.tests.total_points());
 
   RmsResult res;
   res.nodes_visited = s.nodes;
@@ -288,9 +243,13 @@ RmsResult select_rms(const rt::TaskSet& ts, double area_budget,
   res.area_used = ts.area(res.assignment);
   if (s.truncated) {
     res.status = robust::Status::kBudgetTruncated;
-    // Lower bound: every task at its fastest configuration regardless of
-    // area or schedulability — the root node's bound of the search.
-    const double lb = s.min_util_suffix[0];
+    // Lower bound: the root node's area-aware bound, i.e. the best suffix
+    // front entry within the area budget (schedulability ignored). It is
+    // never below "every task at its fastest configuration".
+    double lb = s.min_util_suffix[0];
+    const double front_lb =
+        front_min_util(s.fronts[0], area_budget + s.area_slack);
+    if (std::isfinite(front_lb)) lb = std::max(lb, front_lb * (1 - kBoundSlack));
     res.optimality_gap =
         lb > 0 ? std::max(0.0, (res.utilization - lb) / lb) : 0.0;
     ISEX_COUNT("customize.rms.budget_truncations");

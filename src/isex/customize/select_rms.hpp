@@ -5,10 +5,17 @@
 // Levels of the search tree follow decreasing priority (increasing period):
 // a lower-priority task can never disturb the already-verified higher-
 // priority ones, so only task T_i's own L_i needs checking at level i.
-// Pruning: (a) lower bound = chosen utilizations + best-possible utilization
-// of all remaining tasks, against the incumbent; (b) area-infeasible
+// Pruning: (a) an area-aware lower bound against the incumbent: the chosen
+// utilizations plus the larger of "every remaining task at its fastest
+// configuration" and the best (area, utilization) pair of the remaining
+// tasks that fits the remaining area, read from a Nemhauser-Ullmann list per
+// task suffix built once per search in real areas; (b) area-infeasible
 // configurations; (c) configurations are tried fastest-first so a good
-// incumbent appears early.
+// incumbent appears early. The bound never cuts the leftmost optimal leaf, so
+// the selection equals an unpruned search's.
+// Each level's Theorem-1 check reads a rt::RmsTestTable built once from the
+// periods, and each level's visit order is sorted once: a node allocates
+// nothing. The search is serial at every thread count.
 #pragma once
 
 #include "isex/customize/select_edf.hpp"
@@ -17,6 +24,7 @@ namespace isex::customize {
 
 struct RmsOptions {
   /// Ablation switches (DESIGN.md: pruning-component study).
+  /// use_bound_pruning = false turns off both parts of bound (a).
   bool use_bound_pruning = true;
   bool fastest_first = true;
   long max_nodes = -1;  // search-node cap; <0 = unlimited
@@ -37,7 +45,8 @@ struct RmsResult : SelectionResult {
 /// Minimizes utilization over all RMS-schedulable assignments within the
 /// area budget; if none is schedulable, returns the all-software assignment
 /// with schedulable=false. With a budget the result is anytime: status
-/// kBudgetTruncated keeps the best RMS-schedulable incumbent found.
+/// kBudgetTruncated keeps the best RMS-schedulable incumbent found, and its
+/// optimality_gap is measured against the root's area-aware bound.
 RmsResult select_rms(const rt::TaskSet& ts, double area_budget,
                      const RmsOptions& opts = {});
 

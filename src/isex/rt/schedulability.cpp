@@ -61,6 +61,34 @@ bool rms_task_schedulable(int i, const std::vector<double>& cycles,
   return rms_load_factor(i, cycles, periods) <= 1.0 + kSchedEps;
 }
 
+RmsTestTable::RmsTestTable(const std::vector<double>& periods) {
+  point_begin_.push_back(0);
+  for (std::size_t i = 0; i < periods.size(); ++i) {
+    std::set<std::pair<int, double>> visited;
+    std::set<double> points;
+    gather(static_cast<int>(i) - 1, periods[i], periods, visited, points);
+    mult_begin_.push_back(mults_.size());
+    for (double t : points) {
+      if (t <= kSchedEps) continue;
+      points_.push_back(t);
+      for (std::size_t j = 0; j <= i; ++j)
+        mults_.push_back(std::ceil(t / periods[j] - kSchedEps));
+    }
+    point_begin_.push_back(points_.size());
+  }
+}
+
+bool RmsTestTable::task_schedulable(std::size_t i, const double* cycles) const {
+  const double* mult = mults_.data() + mult_begin_[i];
+  for (std::size_t k = point_begin_[i]; k < point_begin_[i + 1]; ++k) {
+    double demand = 0;
+    for (std::size_t j = 0; j <= i; ++j) demand += mult[j] * cycles[j];
+    if (demand / points_[k] <= 1.0 + kSchedEps) return true;
+    mult += i + 1;
+  }
+  return false;
+}
+
 bool rms_schedulable(const std::vector<double>& cycles,
                      const std::vector<double>& periods) {
   for (std::size_t i = 0; i < cycles.size(); ++i)

@@ -12,6 +12,7 @@
 // by the conservative RMS voltage-scaling path of Fig 3.4).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 namespace isex::rt {
@@ -37,5 +38,30 @@ bool rms_task_schedulable(int i, const std::vector<double>& cycles,
 /// RMS-schedulable: max_i L_i <= 1.
 bool rms_schedulable(const std::vector<double>& cycles,
                      const std::vector<double>& periods);
+
+/// The Theorem-1 test points of every priority level, built once from the
+/// periods (sorted by increasing period). Level i holds the points of
+/// S_{i-1}(P_i) in the order rms_load_factor visits them, each with its
+/// multipliers ceil(t/P_j - kSchedEps) for j = 0..i, so checking a level
+/// allocates nothing. A search that re-checks one task under many execution
+/// times (customize::select_rms) pays the point-set construction once.
+class RmsTestTable {
+ public:
+  explicit RmsTestTable(const std::vector<double>& periods);
+
+  /// Same verdict as rms_task_schedulable(i, cycles, periods) for the
+  /// execution times cycles[0..i], but stops at the first test point whose
+  /// demand fits (L_i <= 1 needs only one such point).
+  bool task_schedulable(std::size_t i, const double* cycles) const;
+
+  std::size_t levels() const { return point_begin_.size() - 1; }
+  std::size_t total_points() const { return points_.size(); }
+
+ private:
+  std::vector<std::size_t> point_begin_;  // level i: [begin[i], begin[i+1])
+  std::vector<std::size_t> mult_begin_;   // level i's first multiplier
+  std::vector<double> points_;
+  std::vector<double> mults_;  // per point of level i: i+1 multipliers
+};
 
 }  // namespace isex::rt

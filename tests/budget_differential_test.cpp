@@ -143,6 +143,7 @@ TEST(BudgetDifferential, TruncatedEdfNeverBeatsExactAndGapHolds) {
 
 TEST(BudgetDifferential, TruncatedRmsNeverBeatsExact) {
   util::Rng rng(4021);
+  int tighter = 0;
   for (int it = 0; it < 60; ++it) {
     auto ts = testing::random_taskset(rng, rng.uniform_int(3, 4), 4);
     ts.sort_by_period();
@@ -155,9 +156,21 @@ TEST(BudgetDifferential, TruncatedRmsNeverBeatsExact) {
     o.budget = &b;
     const auto out = customize::select_rms_bounded(ts, budget, o);
     EXPECT_LE(assignment_area(ts, out.value.assignment), budget + 1e-9);
-    if (out.value.found_feasible && !std::isinf(exact))
+    if (out.value.found_feasible && !std::isinf(exact)) {
       EXPECT_GE(out.value.utilization, exact - 1e-9) << "it=" << it;
+    }
+    if (out.status == robust::Status::kBudgetTruncated && !std::isinf(exact)) {
+      // The gap's lower bound is the area-aware root bound: never above the
+      // optimum, never below "every task at its fastest configuration".
+      const double lb = out.value.utilization / (1 + out.optimality_gap);
+      double fastest = 0;
+      for (const rt::Task& t : ts.tasks) fastest += t.best_cycles() / t.period;
+      EXPECT_LE(lb, exact + 1e-9) << "it=" << it;
+      EXPECT_GE(lb, fastest - 1e-9) << "it=" << it;
+      tighter += lb > fastest + 1e-9 ? 1 : 0;
+    }
   }
+  EXPECT_GT(tighter, 0);
 }
 
 TEST(BudgetDifferential, LadderResultNeverBeatsExactEither) {

@@ -5,12 +5,16 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "isex/certify/schedule.hpp"
 #include "isex/customize/heuristics.hpp"
 #include "isex/customize/motivating.hpp"
 #include "isex/customize/select_edf.hpp"
 #include "isex/customize/select_rms.hpp"
 #include "isex/rt/schedulability.hpp"
+#include "isex/workloads/tasks.hpp"
 #include "test_util.hpp"
 
 namespace isex::customize {
@@ -155,6 +159,104 @@ TEST(RmsBnb, PruningAblationPreservesOptimum) {
     EXPECT_NEAR(full.utilization, no.utilization, 1e-12);
   }
   EXPECT_LE(full.nodes_visited, nb.nodes_visited);
+}
+
+/// Replaces a task set's integer areas by fractional ones: multiples of 0.25
+/// when `quarter`, else irregular reals. Each curve stays ascending in area.
+rt::TaskSet fractional_areas(rt::TaskSet ts, util::Rng& rng, bool quarter) {
+  for (rt::Task& t : ts.tasks) {
+    double area = 0;
+    for (std::size_t j = 1; j < t.configs.size(); ++j) {
+      area += quarter ? 0.25 * rng.uniform_int(1, 40)
+                      : rng.uniform_real(0.01, 9.99);
+      t.configs[j].area = area;
+    }
+  }
+  return ts;
+}
+
+// The area-aware bound must keep the search exact in real areas: brute force
+// (certify's spot check) agrees with and without bound pruning, and both runs
+// return the same leftmost optimum. Every other instance repeats a task, so
+// equal-utilization ties are common.
+TEST(RmsBnb, FractionalAreasMatchBruteForceWithAndWithoutBound) {
+  util::Rng rng(1607);
+  int feasible = 0;
+  for (int it = 0; it < 120; ++it) {
+    auto ts = fractional_areas(
+        isex::testing::random_taskset(rng, rng.uniform_int(2, 5), 5), rng,
+        it % 3 != 0);
+    if (it % 2 == 1) ts.tasks.push_back(ts.tasks.front());
+    ts.set_periods_for_utilization(rng.uniform_real(0.9, 1.3));
+    ts.sort_by_period();
+    // Budgets between configuration areas, and a hair (within the search's
+    // 1e-9 area tolerance) below the sum of two tasks' largest areas.
+    const double budget =
+        it % 4 == 0 ? ts.tasks[0].configs.back().area +
+                          ts.tasks[1].configs.back().area - 5e-10
+                    : rng.uniform_real(0.1, 0.8) * ts.max_area();
+    RmsOptions off;
+    off.use_bound_pruning = false;
+    const auto on = select_rms(ts, budget);
+    const auto plain = select_rms(ts, budget, off);
+    ASSERT_TRUE(on.completed);
+    ASSERT_TRUE(plain.completed);
+    EXPECT_TRUE(certify::spot_check_rms(ts, budget, on, 1000000).ok())
+        << "it=" << it;
+    EXPECT_TRUE(certify::spot_check_rms(ts, budget, plain, 1000000).ok())
+        << "it=" << it;
+    EXPECT_EQ(on.found_feasible, plain.found_feasible) << "it=" << it;
+    EXPECT_EQ(on.assignment, plain.assignment) << "it=" << it;
+    EXPECT_LE(on.nodes_visited, plain.nodes_visited) << "it=" << it;
+    feasible += on.found_feasible ? 1 : 0;
+  }
+  EXPECT_GT(feasible, 30);
+  EXPECT_LT(feasible, 120);
+}
+
+// Curves whose configurations all lie on one utilization-per-area line make
+// every combination non-dominated, so the suffix lists outgrow their cap and
+// are coarsened. The coarse bound must still keep the leftmost optimum.
+TEST(RmsBnb, CoarsenedFrontsKeepTheOptimum) {
+  util::Rng rng(8191);
+  rt::TaskSet ts;
+  for (int i = 0; i < 4; ++i) {
+    rt::Task t;
+    t.name = "L" + std::to_string(i);
+    t.period = 1000.0 * (i + 1);
+    double area = 0;
+    for (int j = 0; j < (i < 2 ? 4 : 64); ++j) {
+      t.configs.push_back({area, (i + 1) * (200.0 - 2.0 * area)});
+      area += rng.uniform_real(0.05, 1.0);
+    }
+    ts.tasks.push_back(std::move(t));
+  }
+  const double budget = 0.5 * ts.max_area();
+  RmsOptions off;
+  off.use_bound_pruning = false;
+  const auto on = select_rms(ts, budget);
+  const auto plain = select_rms(ts, budget, off);
+  ASSERT_TRUE(on.found_feasible);
+  EXPECT_EQ(on.assignment, plain.assignment);
+  EXPECT_LT(on.nodes_visited, plain.nodes_visited);
+}
+
+// Serial search over all 18 Table 5.1 kernels: before the area-aware bound
+// the node count grew past 16M at 8 tasks. The cap keeps that from coming
+// back; the search itself needs ~120k nodes.
+TEST(RmsBnb, EighteenKernelsStayWithinNodeCap) {
+  const std::vector<std::string> kernels = {
+      "crc32",      "sha",        "blowfish", "rijndael", "susan",
+      "adpcm_enc",  "adpcm_dec",  "cjpeg",    "djpeg",    "g721encode",
+      "g721decode", "jfdctint",   "ndes",     "edn",      "lms",
+      "compress",   "aes",        "3des"};
+  auto ts = workloads::make_taskset(kernels, 1.05);
+  ts.sort_by_period();
+  const auto r = select_rms(ts, 0.5 * ts.max_area());
+  ASSERT_TRUE(r.completed);
+  EXPECT_TRUE(r.found_feasible);
+  EXPECT_LT(r.nodes_visited, 1000000);
+  EXPECT_LE(r.area_used, 0.5 * ts.max_area() + 1e-9);
 }
 
 TEST(SetPeriods, HitsRequestedUtilization) {

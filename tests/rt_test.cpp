@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "isex/rt/schedulability.hpp"
@@ -42,6 +43,53 @@ TEST(Rms, LoadFactorMonotoneInCycles) {
   const double l1 = rms_load_factor(2, {1, 1, 1}, {4, 6, 8});
   const double l2 = rms_load_factor(2, {1, 1, 3}, {4, 6, 8});
   EXPECT_LT(l1, l2);
+}
+
+// The per-level test-point table must give rms_task_schedulable's verdict at
+// every level. Harmonic, equal and integer-cycle sets put demand exactly on
+// a test point, the boundary the early exit must not misjudge.
+TEST(RmsTestTable, AgreesWithLoadFactorOnRandomSets) {
+  util::Rng rng(20070416);
+  long checks = 0, schedulable = 0;
+  for (int it = 0; it < 12000; ++it) {
+    const int n = rng.uniform_int(1, 7);
+    const int kind = it % 4;
+    std::vector<double> periods;
+    for (int i = 0; i < n; ++i) {
+      if (kind == 0) {  // arbitrary real periods
+        periods.push_back(rng.uniform_real(5, 500));
+      } else if (kind == 1) {  // harmonic chain, repeats allowed
+        periods.push_back(i == 0 ? rng.uniform_int(2, 20)
+                                 : periods.back() * rng.uniform_int(1, 3));
+      } else if (kind == 2) {  // two distinct values only
+        periods.push_back(rng.chance(0.5) ? 12 : 30);
+      } else {  // small integers
+        periods.push_back(rng.uniform_int(2, 40));
+      }
+    }
+    std::sort(periods.begin(), periods.end());
+    const double u = rng.uniform_real(0.7, 1.8);
+    std::vector<double> cycles;
+    for (int i = 0; i < n; ++i) {
+      const double c = u / n * rng.uniform_real(0.3, 1.7) *
+                       periods[static_cast<std::size_t>(i)];
+      cycles.push_back(kind == 0 ? c : std::max(1.0, std::round(c)));
+    }
+    const RmsTestTable table(periods);
+    ASSERT_EQ(table.levels(), periods.size());
+    for (int i = 0; i < n; ++i) {
+      const bool want = rms_task_schedulable(i, cycles, periods);
+      ASSERT_EQ(table.task_schedulable(static_cast<std::size_t>(i),
+                                       cycles.data()),
+                want)
+          << "iteration " << it << ", level " << i;
+      ++checks;
+      schedulable += want ? 1 : 0;
+    }
+  }
+  // Both verdicts must be well represented for the agreement to mean much.
+  EXPECT_GT(schedulable, checks / 5);
+  EXPECT_LT(schedulable, checks * 4 / 5);
 }
 
 TEST(Simulator, HyperperiodLcm) {

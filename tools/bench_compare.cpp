@@ -205,6 +205,32 @@ const Json* find_kernel(const Json& report, const std::string& name) {
   return nullptr;
 }
 
+/// The RMS scaling rows (serial B&B over the first 5/8/14/18 kernels), gated
+/// like the kernels: wall time at 1.5x over the 50ms floor, the node count in
+/// the 10% band of a deterministic work counter.
+void compare_rms_scaling(const Json& base, const Json& fresh) {
+  const Json* rows = base.find("rms_scaling");
+  if (rows == nullptr || !rows->is_array()) return;  // older baseline
+  const Json* fresh_rows = fresh.find("rms_scaling");
+  for (const Json& br : rows->items()) {
+    const int tasks = static_cast<int>(num(br.find("tasks")));
+    const std::string metric =
+        "self_profile.rms_scaling." + std::to_string(tasks);
+    const Json* fr = nullptr;
+    if (fresh_rows != nullptr && fresh_rows->is_array())
+      for (const Json& r : fresh_rows->items())
+        if (static_cast<int>(num(r.find("tasks"))) == tasks) fr = &r;
+    if (fr == nullptr) {
+      record(metric, 1, 0, 0, false, "row missing in fresh");
+      continue;
+    }
+    check_ratio(metric + ".seconds", num(br.find("seconds")),
+                num(fr->find("seconds")), 1.5, 0.05);
+    check_drift(metric + ".nodes", num(br.find("nodes")),
+                num(fr->find("nodes")), 0.10, 100);
+  }
+}
+
 void compare_self_profile(const Json& base, const Json& fresh) {
   const Json* kernels = base.find("kernels");
   if (kernels == nullptr || !kernels->is_array()) {
@@ -245,6 +271,7 @@ void compare_self_profile(const Json& base, const Json& fresh) {
       }
     }
   }
+  compare_rms_scaling(base, fresh);
 }
 
 // --- micro: google-benchmark real_time per benchmark ----------------------
