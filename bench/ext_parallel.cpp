@@ -2,7 +2,10 @@
 //
 // For each kernel class the parallel work matters on (crc32, sha, aes,
 // 3des), builds the full configuration curve — enumeration, per-block
-// disjoint pools, knapsack — at 1, 2, 4 and 8 threads, and reports:
+// disjoint pools, knapsack — at 1, 2, 4 and 8 threads. The only parallelism
+// in a curve is the fan-out across basic blocks (each block enumerates on
+// one thread), so the speedup is bounded by how evenly a kernel's hot blocks
+// split its work. Reports:
 //   * wall time per thread count (best of --reps runs);
 //   * speedup vs the 1-thread run and *scaling efficiency*, defined as
 //     speedup / min(threads, num_cpus). On a multi-core runner this is the

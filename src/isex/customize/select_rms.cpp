@@ -50,14 +50,19 @@ void coarsen(Front& f) {
   f.resize(out);
 }
 
-/// fronts[i] = the front of tasks i..N-1, built once per search in real
-/// areas (no grid); fronts[N] = {(0, 0)}.
-std::vector<Front> suffix_fronts(const rt::TaskSet& ts) {
+/// Fills fronts[i] with the front of tasks i..N-1, built once per search in
+/// real areas (no grid); fronts[N] = {(0, 0)}. Polls `budget` (clock and
+/// global cancel, no node charge) before each task's merges, which the
+/// kMaxFront cap keeps to milliseconds; returns false when it runs out, with
+/// fronts[0..i] still empty for the task i it stopped at.
+bool suffix_fronts(const rt::TaskSet& ts, robust::Budget* budget,
+                   std::vector<Front>& fronts) {
   const std::size_t n = ts.size();
-  std::vector<Front> fronts(n + 1);
+  fronts.assign(n + 1, {});
   fronts[n] = {{0.0, 0.0}};
   Front acc, merged;
   for (std::size_t i = n; i-- > 0;) {
+    if (budget != nullptr && budget->exhausted()) return false;
     const rt::Task& t = ts.tasks[i];
     const Front& next = fronts[i + 1];
     acc.clear();
@@ -80,7 +85,7 @@ std::vector<Front> suffix_fronts(const rt::TaskSet& ts) {
     }
     fronts[i] = acc;
   }
-  return fronts;
+  return true;
 }
 
 /// Minimum utilization of the front's entries with area <= limit; +inf when
@@ -126,8 +131,10 @@ struct Search {
       : ts(t),
         opts(o),
         area_slack(kAreaTol + kBoundSlack * std::abs(area_budget)),
-        fronts(suffix_fronts(t)),
         tests(periods_of(t)) {
+    // A cut build leaves the search truncated before its root; the gap then
+    // falls back to the fastest-configuration bound (fronts[0] is empty).
+    truncated = !suffix_fronts(t, o.budget, fronts);
     const auto n = ts.size();
     min_util_suffix.assign(n + 1, 0);
     for (std::size_t i = n; i-- > 0;)

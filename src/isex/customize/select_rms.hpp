@@ -29,7 +29,8 @@ struct RmsOptions {
   bool fastest_first = true;
   long max_nodes = -1;  // search-node cap; <0 = unlimited
   /// Cooperative execution budget (non-owning; nullptr = unlimited), charged
-  /// once per search node. Exhaustion keeps the best incumbent found so far.
+  /// once per search node and polled (clock and cancel, no charge) while the
+  /// bound tables are built. Exhaustion keeps the best incumbent found so far.
   robust::Budget* budget = nullptr;
 };
 
@@ -46,7 +47,9 @@ struct RmsResult : SelectionResult {
 /// area budget; if none is schedulable, returns the all-software assignment
 /// with schedulable=false. With a budget the result is anytime: status
 /// kBudgetTruncated keeps the best RMS-schedulable incumbent found, and its
-/// optimality_gap is measured against the root's area-aware bound.
+/// optimality_gap is measured against the root's area-aware bound (against
+/// "every task at its fastest configuration" when the budget ran out before
+/// that bound was built).
 RmsResult select_rms(const rt::TaskSet& ts, double area_budget,
                      const RmsOptions& opts = {});
 

@@ -8,8 +8,10 @@
 //    MIMO subgraphs under input/output constraints (the clustering family
 //    [9,24]); exhaustive over connected convex shapes for small regions and
 //    budget-capped for large ones. Seed-anchored growth (extensions must have
-//    id > seed, and each subgraph is visited once via a hash of its node set)
-//    guarantees no duplicates.
+//    id > seed) keeps seeds apart; within a seed, a depth-first walk skips
+//    every extension whose subtree an enclosing frame has already finished,
+//    which is exactly the set of extensions that reach a visited subgraph, so
+//    each subgraph is visited once and there are no duplicates.
 #pragma once
 
 #include <vector>
@@ -24,9 +26,11 @@ struct EnumOptions {
   int max_candidate_nodes = 40;  // size cap per candidate
   long max_candidates = 200000;  // global work cap per basic block
   /// Cooperative execution budget (non-owning; nullptr = unlimited). The
-  /// enumerators charge one unit per grow call / MISO root and account the
-  /// candidate pool + visited-set memory. Exhaustion stops enumeration with
-  /// the candidates found so far. The max_candidates/max_candidate_nodes
+  /// enumerators charge one unit per grow call / MISO root, and charge_mem
+  /// one bitset-sized unit per visited subgraph and per MaxMISO pattern: an
+  /// accounting unit that bounds the work per seed, not resident memory (the
+  /// growth itself keeps only its DFS frames). Exhaustion stops enumeration
+  /// with the candidates found so far. The max_candidates/max_candidate_nodes
   /// caps above are quality knobs, not budget truncation: hitting them never
   /// changes the reported Status.
   robust::Budget* budget = nullptr;

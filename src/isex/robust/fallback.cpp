@@ -142,7 +142,11 @@ Outcome<customize::RmsResult> select_rms_with_fallback(
                        b != nullptr && b->exhausted_cached()
                    ? Status::kBudgetTruncated
                    : Status::kDegraded;
+    // A cut search reports a gap against its area-aware root bound, which
+    // is never looser than the fastest-configuration bound; keep the tighter.
     r.optimality_gap = gap_vs_lb(ts, r.value.utilization);
+    if (r.value.status == Status::kBudgetTruncated)
+      r.optimality_gap = std::min(r.optimality_gap, r.value.optimality_gap);
     return r;
   });
   rungs.emplace_back("greedy+rms-test", [&](Budget*) {

@@ -171,6 +171,35 @@ TEST(BudgetDifferential, TruncatedRmsNeverBeatsExact) {
     }
   }
   EXPECT_GT(tighter, 0);
+
+  // The ladder's beam rung: a node budget cuts the exact rung, then the
+  // beam's node cap cuts it short within its retry slice, so it answers
+  // Degraded with the tighter of its two valid gaps.
+  int degraded = 0, beam_tighter = 0;
+  for (int it = 0; it < 60; ++it) {
+    auto ts = testing::random_taskset(rng, rng.uniform_int(3, 4), 4);
+    ts.sort_by_period();
+    const double budget = rng.uniform_real(0.3, 0.8) * ts.max_area();
+    const double exact = brute_min_util(ts, budget, true);
+    robust::Budget b;
+    b.set_node_budget(rng.uniform_int(1, 4));
+    customize::RmsOptions o;
+    o.max_nodes = rng.uniform_int(5, 12);
+    const auto out = robust::select_rms_with_fallback(ts, budget, o, &b);
+    if (out.status != robust::Status::kDegraded ||
+        !out.value.found_feasible || std::isinf(exact))
+      continue;
+    ++degraded;
+    double fastest = 0;
+    for (const rt::Task& t : ts.tasks) fastest += t.best_cycles() / t.period;
+    const double gap_vs_lb = (out.value.utilization - fastest) / fastest;
+    EXPECT_LE(out.optimality_gap, gap_vs_lb + 1e-12) << "it=" << it;
+    EXPECT_LE(out.value.utilization / (1 + out.optimality_gap), exact + 1e-9)
+        << "it=" << it;
+    beam_tighter += out.optimality_gap < gap_vs_lb - 1e-9 ? 1 : 0;
+  }
+  EXPECT_GT(degraded, 0);
+  EXPECT_GT(beam_tighter, 0);
 }
 
 TEST(BudgetDifferential, LadderResultNeverBeatsExactEither) {

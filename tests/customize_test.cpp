@@ -13,6 +13,8 @@
 #include "isex/customize/motivating.hpp"
 #include "isex/customize/select_edf.hpp"
 #include "isex/customize/select_rms.hpp"
+#include "isex/obs/metrics.hpp"
+#include "isex/robust/budget.hpp"
 #include "isex/rt/schedulability.hpp"
 #include "isex/workloads/tasks.hpp"
 #include "test_util.hpp"
@@ -239,6 +241,49 @@ TEST(RmsBnb, CoarsenedFrontsKeepTheOptimum) {
   ASSERT_TRUE(on.found_feasible);
   EXPECT_EQ(on.assignment, plain.assignment);
   EXPECT_LT(on.nodes_visited, plain.nodes_visited);
+}
+
+// The suffix-front build runs before the first search node is charged; at
+// 16 tasks of 64 configurations on one utilization line it alone takes tens
+// of milliseconds. A cancelled budget must stop the build, not only the
+// search after it.
+TEST(RmsBnb, CancelledBudgetStopsTheFrontBuild) {
+  util::Rng rng(8209);
+  rt::TaskSet ts;
+  for (int i = 0; i < 16; ++i) {
+    rt::Task t;
+    t.name = "L" + std::to_string(i);
+    t.period = 1000.0 * (i + 1);
+    double area = 0;
+    for (int j = 0; j < 64; ++j) {
+      t.configs.push_back({area, (i + 1) * (200.0 - 2.0 * area)});
+      area += rng.uniform_real(0.05, 1.0);
+    }
+    ts.tasks.push_back(std::move(t));
+  }
+  robust::clear_global_cancel();
+  robust::Budget b;
+  robust::request_global_cancel();
+  ASSERT_TRUE(b.exhausted());  // the cancel is latched in this budget
+  robust::clear_global_cancel();
+  RmsOptions o;
+  o.budget = &b;
+  obs::Registry::global().reset();
+  const auto r = select_rms(ts, 0.5 * ts.max_area(), o);
+  EXPECT_EQ(r.status, robust::Status::kBudgetTruncated);
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(r.nodes_visited, 0);
+  EXPECT_FALSE(r.schedulable);
+  // The gap falls back to the every-task-fastest bound.
+  double fastest = 0;
+  for (const rt::Task& t : ts.tasks) fastest += t.best_cycles() / t.period;
+  EXPECT_NEAR(r.optimality_gap, (r.utilization - fastest) / fastest, 1e-9);
+#if ISEX_OBS_ENABLED
+  // Only the empty suffix's single entry was built.
+  EXPECT_EQ(
+      obs::Registry::global().snapshot().counters["customize.rms.front_entries"],
+      1u);
+#endif
 }
 
 // Serial search over all 18 Table 5.1 kernels: before the area-aware bound

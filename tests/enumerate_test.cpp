@@ -10,7 +10,6 @@
 
 #include "isex/frontend/fixtures.hpp"
 #include "isex/frontend/lift.hpp"
-#include "isex/ise/visited_table.hpp"
 #include "isex/obs/metrics.hpp"
 #include "isex/robust/budget.hpp"
 #include "isex/util/task_pool.hpp"
@@ -164,13 +163,14 @@ TEST(Estimate, ChainedAddsFitOneCycle) {
 // --- Differential grow test --------------------------------------------------
 //
 // The connected-growth enumerator keeps an incremental frame per search depth
-// (input set, Zobrist key, merged frontier) and a flat visited table reset
-// per seed. The oracle below is the straightforward form it replaced: one
-// hash set of whole bitsets for the entire block, Dfg::input_count per grow
-// call, a frontier rescan of the subgraph per call and the reference
-// convexity scan. Both must emit the same node sets in the same order and do
-// the same counted work, including where a grow-call cap, a node budget or a
-// memory budget cuts the search mid-seed.
+// (input set, merged frontier) and, instead of a table of visited sets, the
+// set of extensions whose subtree a frame on the DFS stack has finished. The
+// oracle below is the straightforward form it replaced: one hash set of whole
+// bitsets for the entire block, Dfg::input_count per grow call, a frontier
+// rescan of the subgraph per call and the reference convexity scan. Both
+// must emit the same node sets in the same order and do the same counted
+// work, including where a grow-call cap, a node budget or a memory budget
+// cuts the search mid-seed.
 
 struct OracleRun {
   std::vector<util::Bitset> sets;  // emission order
@@ -320,11 +320,7 @@ OracleRun expect_same_growth(const ir::Dfg& dfg, EnumOptions opts, int threads,
       break;
     }
 #if ISEX_OBS_ENABLED
-  // Parallel runs overshoot a binding cap before the replay trims the
-  // output, so their work counters are defined only where it does not bind.
-  if (threads == 1 || !want.cap_hit) {
-    EXPECT_EQ(enum_counters(), want.counters) << what;
-  }
+  EXPECT_EQ(enum_counters(), want.counters) << what;
 #endif
   return want;
 }
@@ -332,7 +328,7 @@ OracleRun expect_same_growth(const ir::Dfg& dfg, EnumOptions opts, int threads,
 TEST(GrowDifferential, RandomDfgsWithAndWithoutBindingCaps) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     util::Rng rng(seed * 7919);
-    // Below and above the 64-node threshold of the parallel wave path.
+    // Small blocks and blocks large enough for the cap to cut mid-seed.
     const int ops = seed % 2 == 0 ? 40 : 90 + static_cast<int>(seed) * 4;
     const ir::Dfg d = isex::testing::random_dfg(rng, 4, ops, 0.08);
     for (long cap_calls : {20000L, 777L, 50L}) {
@@ -410,51 +406,47 @@ TEST(GrowDifferential, EveryBlockOfTheKernelsAndFixtures) {
   EXPECT_GT(free, 0);
 }
 
-// --- Visited table -----------------------------------------------------------
-
-TEST(VisitedTable, EqualKeysNeverMergeDistinctSets) {
-  VisitedTable t;
-  const std::uint64_t a[] = {1, 2}, b[] = {1, 3}, c[] = {1};
-  EXPECT_TRUE(t.insert(42, a));
-  EXPECT_TRUE(t.insert(42, b));  // same key, different words
-  EXPECT_TRUE(t.insert(42, c));  // same key, prefix of a
-  EXPECT_FALSE(t.insert(42, a));
-  EXPECT_FALSE(t.insert(42, b));
-  EXPECT_FALSE(t.insert(42, c));
-  EXPECT_TRUE(t.insert(43, a));  // same words, different key: a new entry
-  EXPECT_EQ(t.size(), 4u);
-}
-
-TEST(VisitedTable, RehashKeepsEverySet) {
-  VisitedTable t;
-  const std::size_t n = 5000;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t w[] = {i, i * 3};
-    ASSERT_TRUE(t.insert(i % 97, w)) << i;  // heavy key collisions too
-  }
-  EXPECT_EQ(t.size(), n);
-  EXPECT_GE(t.capacity(), 2 * n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t w[] = {i, i * 3};
-    ASSERT_FALSE(t.insert(i % 97, w)) << i;
-  }
-}
-
-TEST(VisitedTable, ResetForgetsSetsAndKeepsCapacity) {
-  VisitedTable t;
-  for (std::uint64_t i = 0; i < 3000; ++i) {
-    const std::uint64_t w[] = {i};
-    t.insert(i * 0x9e3779b97f4a7c15ull, w);
-  }
-  const std::size_t cap = t.capacity();
-  for (int round = 0; round < 3; ++round) {
-    t.reset();
-    EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.capacity(), cap);
-    for (std::uint64_t i = 0; i < 3000; ++i) {
-      const std::uint64_t w[] = {i};
-      ASSERT_TRUE(t.insert(i * 0x9e3779b97f4a7c15ull, w)) << round << " " << i;
+TEST(GrowDifferential, CapAtEveryGrowCall) {
+  // Cutting the search after every grow call, and refusing every visited
+  // set, stops it at each point where a frame sets or clears an exclusion
+  // bit: mid-frontier, while unwinding past a cut, and between seeds.
+  util::Rng rng(1729);
+  const ir::Dfg d = isex::testing::random_dfg(rng, 4, 34, 0.1);
+  EnumOptions opts;
+  opts.max_candidate_nodes = 5;
+  const OracleRun full = expect_same_growth(d, opts, 1, {}, "uncapped");
+  ASSERT_FALSE(full.cap_hit);
+  const long calls =
+      static_cast<long>(full.counters.at("ise.enum.grow_calls"));
+  ASSERT_GT(calls, 500);
+  long seeds = 0;  // each grows one single-node frame, charged no memory
+  for (int v = 0; v < d.num_nodes(); ++v)
+    if (d.valid_mask().test(static_cast<std::size_t>(v)) &&
+        d.node(v).op != ir::Opcode::kConst)
+      ++seeds;
+  const std::size_t entry =
+      8 * ((static_cast<std::size_t>(d.num_nodes()) + 63) / 64) + 64;
+  for (int threads : {1, 4}) {
+    const std::string at = " threads " + std::to_string(threads);
+    for (long cap = 1; cap <= calls; ++cap) {
+      EnumOptions capped = opts;
+      capped.max_candidates = cap;
+      EXPECT_TRUE(expect_same_growth(d, capped, threads, {},
+                                     "cap " + std::to_string(cap) + at)
+                      .cap_hit);
+      ASSERT_FALSE(HasFailure()) << "cap " << cap << at;
     }
+    // A budget of k sets refuses the (k+1)-th; the sweep ends at the first
+    // budget the whole search fits in, which is one set per non-seed call.
+    long sets = 1;
+    while (expect_same_growth(d, opts, threads,
+                              {-1, static_cast<std::size_t>(sets) * entry},
+                              "mem budget " + std::to_string(sets) + at)
+               .counters.count("ise.enum.robust_budget_truncations") == 1) {
+      ASSERT_FALSE(HasFailure()) << "mem budget " << sets << at;
+      ++sets;
+    }
+    EXPECT_EQ(sets, calls - seeds) << at;
   }
 }
 

@@ -4,8 +4,8 @@
 // to --threads 1 (the exact legacy serial schedule). Covered here:
 //   * ir::Dfg::is_convex (union-based) vs the reference O(V) scan;
 //   * candidate enumeration, including the max_candidates-capped regime
-//     where the parallel wave/replay reconstruction must reproduce the
-//     serial truncation point exactly;
+//     where every thread count must stop at the serial truncation point
+//     exactly (blocks enumerate on one thread each, fanned out by block);
 //   * full configuration curves over every registered benchmark kernel;
 //   * RMS branch-and-bound and EDF DP selections;
 //   * wall-clock-truncated parallel runs: never better than exact, every
@@ -132,8 +132,8 @@ TEST(ParallelDeterminism, EnumerationByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, CappedEnumerationReplaysSerialTruncation) {
-  // A cap that bites mid-seed forces the parallel wave/replay machinery to
-  // reconstruct exactly where the serial run stopped.
+  // A cap that bites mid-seed must cut every thread count's run exactly
+  // where the serial run stopped.
   const ir::Dfg d = random_dfg(13, 200);
   for (int cap_candidates : {7, 50, 333}) {
     ise::EnumOptions opts;
@@ -222,8 +222,8 @@ TEST(ParallelDeterminism, EdfSelectionByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, TimeTruncatedParallelRunIsNeverBetterThanExact) {
-  // Wall-clock budgets may truncate anywhere, so parallel truncated runs are
-  // not byte-reproducible — but they must stay sound: a subset of what the
+  // Wall-clock budgets may truncate anywhere, so truncated runs are not
+  // byte-reproducible — but they must stay sound: a subset of what the
   // exact run emits, never a different or larger answer.
   const ir::Dfg d = random_dfg(29, 260);
   ise::EnumOptions exact_opts;
